@@ -1,6 +1,5 @@
 #include "deisa/core/adaptor.hpp"
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::core {
@@ -70,7 +69,7 @@ exec::Co<std::map<std::string, array::DArray>> Adaptor::validate_contract() {
     // blocks outside the contract are never sent, so they must not leave
     // tasks pending in the scheduler.
     auto [keys, workers] = selected_chunks(da, box);
-    obs::count("adaptor.external_futures", keys.size());
+    counters_.add(AdaptorCounter::kExternalFutures, keys.size());
     co_await client_->external_futures(std::move(keys), std::move(workers));
     out.emplace(name, std::move(da));
   }

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::core {
@@ -76,8 +75,7 @@ exec::Co<bool> Bridge::send_block(const VirtualArray& va,
               "send_block is the DEISA2/3 path; DEISA1 uses "
               "deisa1_send_block");
   if (!contract_.includes(va, coord)) {
-    ++blocks_filtered_;
-    obs::count("bridge.blocks_filtered");
+    counters_.add(BridgeCounter::kBlocksFiltered);
     obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
     co_return false;
   }
@@ -89,11 +87,8 @@ exec::Co<bool> Bridge::send_block(const VirtualArray& va,
   const int ack = co_await client_->scatter(
       key, std::move(data), preselect_worker(va, coord), /*external=*/true,
       /*inform_scheduler=*/true, span.id());
-  ++blocks_sent_;
-  if (auto* m = obs::metrics()) {
-    m->counter("bridge.blocks_sent").add();
-    m->counter("bridge.bytes_sent").add(bytes);
-  }
+  counters_.add(BridgeCounter::kBlocksSent);
+  counters_.add(BridgeCounter::kBytesSent, bytes);
   co_await handle_ack(ack);
   co_return true;
 }
@@ -110,8 +105,7 @@ exec::Co<std::size_t> Bridge::send_blocks(
   std::map<int, std::vector<std::pair<dts::Key, dts::Data>>> by_worker;
   for (auto& [coord, data] : blocks) {
     if (!contract_.includes(va, coord)) {
-      ++blocks_filtered_;
-      obs::count("bridge.blocks_filtered");
+      counters_.add(BridgeCounter::kBlocksFiltered);
       obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
       continue;
     }
@@ -137,16 +131,12 @@ exec::Co<std::size_t> Bridge::send_blocks(
         std::move(items), worker, /*external=*/true, span.id());
     span.finish();
     sent += n;
-    blocks_sent_ += n;
-    if (auto* m = obs::metrics()) {
-      m->counter("bridge.blocks_sent").add(n);
-      m->counter("bridge.bytes_sent").add(bytes);
-      m->counter("bridge.batched_pushes").add();
-    }
+    counters_.add(BridgeCounter::kBlocksSent, n);
+    counters_.add(BridgeCounter::kBytesSent, bytes);
+    counters_.add(BridgeCounter::kBatchedPushes);
     for (const int ack : acks) {
       if (ack == dts::kAckDiscarded) {
-        ++blocks_discarded_;
-        obs::count("bridge.blocks_discarded");
+        counters_.add(BridgeCounter::kBlocksDiscarded);
       } else if (ack == dts::kAckRepushPending) {
         repush_pending = true;
       }
@@ -169,8 +159,7 @@ void Bridge::remember_block(const dts::Key& key, const dts::Data& data) {
 exec::Co<void> Bridge::handle_ack(int ack) {
   if (ack == dts::kAckDiscarded) {
     // The key was cancelled/poisoned scheduler-side; the block is moot.
-    ++blocks_discarded_;
-    obs::count("bridge.blocks_discarded");
+    counters_.add(BridgeCounter::kBlocksDiscarded);
     co_return;
   }
   if (ack == dts::kAckRepushPending) co_await run_repush();
@@ -202,7 +191,7 @@ exec::Co<void> Bridge::run_repush() {
       if (it == replay_.end()) {
         // Evicted from the replay buffer: unrecoverable from this rank;
         // the scheduler's re-push deadline will err the key out.
-        obs::count("bridge.repush_misses");
+        counters_.add(BridgeCounter::kRepushMisses);
         continue;
       }
       by_worker[worker].emplace_back(key, it->second);
@@ -210,8 +199,7 @@ exec::Co<void> Bridge::run_repush() {
     bool any_pending = false;
     for (auto& [worker, items] : by_worker) {
       const std::size_t n = items.size();
-      blocks_repushed_ += n;
-      obs::count("bridge.blocks_repushed", n);
+      counters_.add(BridgeCounter::kBlocksRepushed, n);
       const std::vector<int> acks = co_await client_->scatter_batch(
           std::move(items), worker, /*external=*/true);
       for (const int ack : acks)
@@ -228,7 +216,7 @@ exec::Co<void> Bridge::run_repush() {
     // All rounds spent with work still pending: make the give-up loud.
     // The scheduler's re-push deadline will eventually err the keys out,
     // but silence here would read as "replay succeeded".
-    obs::count("bridge.repush_exhausted");
+    counters_.add(BridgeCounter::kRepushExhausted);
     obs::trace_instant("bridge", bridge_lane(rank_), "repush_exhausted");
   }
   repushing_ = false;
@@ -269,15 +257,11 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
                               /*external=*/false,
                               /*inform_scheduler=*/true, span.id());
     span.finish();
-    ++blocks_sent_;
-    if (auto* m = obs::metrics()) {
-      m->counter("bridge.blocks_sent").add();
-      m->counter("bridge.bytes_sent").add(bytes);
-    }
+    counters_.add(BridgeCounter::kBlocksSent);
+    counters_.add(BridgeCounter::kBytesSent, bytes);
     sent = true;
   } else {
-    ++blocks_filtered_;
-    obs::count("bridge.blocks_filtered");
+    counters_.add(BridgeCounter::kBlocksFiltered);
     obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
   }
   // Notify the adaptor that this rank finished the step (whether or not

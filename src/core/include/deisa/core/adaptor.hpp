@@ -13,6 +13,21 @@
 
 namespace deisa::core {
 
+/// The adaptor's counters (its obs::CounterBlock).
+enum class AdaptorCounter : std::uint8_t {
+  kExternalFutures,  // external tasks created for the signed contract
+  kCount,
+};
+
+inline const char* metric_name(AdaptorCounter c) {
+  using enum AdaptorCounter;
+  switch (c) {
+    case kExternalFutures: return "adaptor.external_futures";
+    case kCount: break;
+  }
+  return "?";
+}
+
 class Adaptor {
 public:
   Adaptor(dts::Client& client, Mode mode);
@@ -54,6 +69,7 @@ private:
   bool got_arrays_ = false;
   Contract contract_;
   bool signed_ = false;
+  obs::CounterBlock<AdaptorCounter> counters_;
 };
 
 }  // namespace deisa::core

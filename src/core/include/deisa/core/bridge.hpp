@@ -14,6 +14,35 @@
 
 namespace deisa::core {
 
+/// A bridge's counters (its obs::CounterBlock; names in metric_name()).
+enum class BridgeCounter : std::uint8_t {
+  kBlocksSent,
+  kBytesSent,
+  kBatchedPushes,
+  kBlocksFiltered,   // outside the contract, never sent
+  kBlocksDiscarded,  // acked as moot (key cancelled/poisoned)
+  kBlocksRepushed,   // replayed after a worker loss
+  kRepushMisses,     // re-push asked for a block no longer buffered
+  kRepushExhausted,  // replay rounds spent with work still pending
+  kCount,
+};
+
+inline const char* metric_name(BridgeCounter c) {
+  using enum BridgeCounter;
+  switch (c) {
+    case kBlocksSent: return "bridge.blocks_sent";
+    case kBytesSent: return "bridge.bytes_sent";
+    case kBatchedPushes: return "bridge.batched_pushes";
+    case kBlocksFiltered: return "bridge.blocks_filtered";
+    case kBlocksDiscarded: return "bridge.blocks_discarded";
+    case kBlocksRepushed: return "bridge.blocks_repushed";
+    case kRepushMisses: return "bridge.repush_misses";
+    case kRepushExhausted: return "bridge.repush_exhausted";
+    case kCount: break;
+  }
+  return "?";
+}
+
 class Bridge {
 public:
   /// `client` is this rank's connection to the task system (the bridge is
@@ -66,10 +95,18 @@ public:
   exec::Co<bool> deisa1_send_block(const VirtualArray& va,
                                   const array::Index& coord, dts::Data data);
 
-  std::uint64_t blocks_sent() const { return blocks_sent_; }
-  std::uint64_t blocks_filtered() const { return blocks_filtered_; }
-  std::uint64_t blocks_repushed() const { return blocks_repushed_; }
-  std::uint64_t blocks_discarded() const { return blocks_discarded_; }
+  std::uint64_t blocks_sent() const {
+    return counters_[BridgeCounter::kBlocksSent];
+  }
+  std::uint64_t blocks_filtered() const {
+    return counters_[BridgeCounter::kBlocksFiltered];
+  }
+  std::uint64_t blocks_repushed() const {
+    return counters_[BridgeCounter::kBlocksRepushed];
+  }
+  std::uint64_t blocks_discarded() const {
+    return counters_[BridgeCounter::kBlocksDiscarded];
+  }
 
 private:
   int preselect_worker(const VirtualArray& va,
@@ -97,10 +134,7 @@ private:
   int nranks_;
   Contract contract_;
   bool has_contract_ = false;
-  std::uint64_t blocks_sent_ = 0;
-  std::uint64_t blocks_filtered_ = 0;
-  std::uint64_t blocks_repushed_ = 0;
-  std::uint64_t blocks_discarded_ = 0;
+  obs::CounterBlock<BridgeCounter> counters_;
 
   // Replay buffer: the last `replay_capacity_` blocks this rank pushed.
   // Blocks evicted before a loss are unrecoverable (the scheduler's

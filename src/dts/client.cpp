@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "deisa/dts/shard.hpp"
-#include "deisa/obs/dataplane.hpp"
 
 namespace deisa::dts {
 
@@ -21,7 +20,6 @@ Client::Client(exec::Executor& engine, exec::Transport& cluster, int id, int nod
 
 exec::Co<void> Client::send_to_scheduler(SchedMsg msg, exec::Delivery delivery,
                                         int shard) {
-  ++messages_sent_;
   msg.sender_node = node_;
   msg.sender_client = id_;
   // All shards are co-located on scheduler_node_; routing only picks the
@@ -171,7 +169,7 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
     ProxyHandle handle(node_, payload_bytes,
                        cause != 0 ? cause : data.cause);
     depot_->deposit(key, std::move(data), node_);
-    obs::count_referenced(payload_bytes);
+    counters_.add(ClientCounter::kBytesReferenced, payload_bytes);
     co_await cluster_->transfer_token(node_, ref.node, key.size());
     WorkerMsg push(WorkerMsgKind::kReceiveData);
     push.cause = cause;
@@ -182,7 +180,7 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
     // 1) Copy plane: bulk payload straight to the worker ...
     const std::uint64_t bytes = std::max(payload_bytes, kMinTransferBytes);
     co_await cluster_->transfer(node_, ref.node, bytes);
-    obs::count_moved(payload_bytes);
+    counters_.add(ClientCounter::kBytesMoved, payload_bytes);
     WorkerMsg push(WorkerMsgKind::kReceiveData);
     push.cause = cause;
     push.key = key;
@@ -240,7 +238,7 @@ exec::Co<std::vector<int>> Client::scatter_batch(
       key_bytes += key.size();
       ProxyHandle handle(node_, data.bytes,
                          cause != 0 ? cause : data.cause);
-      obs::count_referenced(data.bytes);
+      counters_.add(ClientCounter::kBytesReferenced, data.bytes);
       depot_->deposit(key, std::move(data), node_);
       tokens.emplace_back(std::move(key), make_proxy_data(handle));
     }
@@ -257,7 +255,7 @@ exec::Co<std::vector<int>> Client::scatter_batch(
     // each.
     co_await cluster_->transfer(node_, ref.node,
                                 std::max(total, kMinTransferBytes));
-    obs::count_moved(total);
+    counters_.add(ClientCounter::kBytesMoved, total);
     WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
     push.cause = cause;
     push.batch = std::move(items);
@@ -373,9 +371,9 @@ exec::Co<Data> Client::gather(const Key& key) {
     if (handle.location != node_) {
       co_await cluster_->transfer(handle.location, node_,
                                   std::max(handle.bytes, kMinTransferBytes));
-      obs::count_moved(handle.bytes);
+      counters_.add(ClientCounter::kBytesMoved, handle.bytes);
     } else {
-      obs::count_referenced(handle.bytes);
+      counters_.add(ClientCounter::kBytesReferenced, handle.bytes);
     }
     Data real;
     DEISA_CHECK(depot_ != nullptr && depot_->fetch(key, real),

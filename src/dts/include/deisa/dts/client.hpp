@@ -29,6 +29,23 @@ private:
   Client* client_ = nullptr;
 };
 
+/// A client's data-plane byte counters (its obs::CounterBlock).
+enum class ClientCounter : std::uint8_t {
+  kBytesMoved,       // obs::kBytesMoved
+  kBytesReferenced,  // obs::kBytesReferenced
+  kCount,
+};
+
+inline const char* metric_name(ClientCounter c) {
+  using enum ClientCounter;
+  switch (c) {
+    case kBytesMoved: return obs::kBytesMoved;
+    case kBytesReferenced: return obs::kBytesReferenced;
+    case kCount: break;
+  }
+  return "?";
+}
+
 class Client {
 public:
   Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
@@ -136,8 +153,6 @@ public:
   /// Ask the scheduler to shut down (tests/teardown).
   exec::Co<void> send_shutdown();
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
-
   /// Causal provenance of the last payload this client received (gather,
   /// queue_get, variable_get). Graph submissions are stamped with it so
   /// data-driven control flow — "a result arrived, submit the next step"
@@ -170,8 +185,8 @@ private:
   std::shared_ptr<exec::Channel<int>> notify_;
   DataPlane plane_ = DataPlane::kCopy;
   ProxyDepot* depot_ = nullptr;
-  std::uint64_t messages_sent_ = 0;
   std::uint64_t last_cause_ = 0;
+  obs::CounterBlock<ClientCounter> counters_;
 };
 
 }  // namespace deisa::dts

@@ -11,7 +11,8 @@
 // records live in a flat vector indexed by KeyId; dependencies are CSR
 // slices of one shared pool; dependent edges are a pooled intrusive
 // list; ready tasks chain through an intrusive O(1) FIFO queue; per-kind
-// and per-state counters are flat arrays. Key strings are only rebuilt
+// and per-state counters are index ranges of one counter block (no name
+// string on any hot path). Key strings are only rebuilt
 // at the wire boundary (worker messages, replies, traces).
 #pragma once
 
@@ -30,6 +31,7 @@
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/exec/primitives.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace deisa::dts {
@@ -89,23 +91,54 @@ struct SchedulerParams {
 /// dropped by the handlers before ever reaching an illegal edge.
 bool transition_valid(TaskState from, TaskState to);
 
-/// Plain-counter mirror of the scheduler.recovery.* / scheduler.stale.*
-/// metrics, readable without a metrics registry installed (tests).
-struct RecoveryCounters {
-  std::uint64_t workers_lost = 0;        // workers declared dead
-  std::uint64_t tasks_rerun = 0;         // in-flight tasks re-assigned
-  std::uint64_t keys_recomputed = 0;     // lost computed keys re-executed
-  std::uint64_t external_rearmed = 0;    // lost external keys re-armed
-  std::uint64_t external_rerouted = 0;   // preselections moved off a dead
-                                         // worker before any push
-  std::uint64_t mirrors_rearmed = 0;     // remote mirrors parked back in
-                                         // external awaiting re-announce
-  std::uint64_t keys_lost = 0;           // unrecoverable (plain scatter)
-  std::uint64_t repush_expired = 0;      // re-armed keys never replayed
-  std::uint64_t stale_task_finished = 0; // late/duplicate reports dropped
-  std::uint64_t stale_update_data = 0;   // pushes to terminal keys dropped
-  std::uint64_t stale_heartbeats = 0;    // heartbeats from dead workers
+/// The scheduler's counters, one CounterBlock per shard. Named entries
+/// first, then three index ranges whose names metric_name() computes:
+/// arrivals per message kind (the paper's §2.1 metadata counts), tasks
+/// created per initial state, and transitions per (from, to) edge.
+enum class SchedCounter : std::uint16_t {
+  kMessagesTotal,
+  kTasksCreated,
+  kRetries,             // task re-runs after an erred attempt
+  kStaleTaskFinished,   // late/duplicate reports dropped
+  kStaleUpdateData,     // pushes to terminal keys dropped
+  kStaleHeartbeats,     // heartbeats from dead workers
+  kSuspected,           // workers reported by the failure detector
+  kWorkersLost,         // declared dead (by shard 0 only when sharded)
+  kTasksRerun,          // in-flight tasks re-assigned
+  kKeysRecomputed,      // lost computed keys re-executed
+  kExternalRearmed,     // lost external keys re-armed
+  kExternalRerouted,    // preselections moved off a dead worker
+  kMirrorsRearmed,      // remote mirrors parked back in external
+  kKeysLost,            // unrecoverable (plain scatter)
+  kRepushExpired,       // re-armed keys never replayed
+  kRemoteEdges,         // dependency edges wired to a remote mirror
+  kNotifyMsgs,          // kShardKeyDone sent to subscriber shards
+  kReleaseAcks,         // kShardKeyReleased sent to owner shards
+  kWorkerDead,          // kShardWorkerDead broadcasts received
+  kKeysReleased,        // keys whose data the refcount GC released
+  kBytesReleased,
+  kMessages,  // + SchedMsgKind
+  kCreated = kMessages + kSchedMsgKindCount,  // + TaskState
+  kTransitions = kCreated + kNumTaskStates,   // + from * N + to
+  kCount = kTransitions + kNumTaskStates * kNumTaskStates,
 };
+
+std::string metric_name(SchedCounter c);
+
+constexpr SchedCounter arrival_counter(SchedMsgKind kind) {
+  return static_cast<SchedCounter>(static_cast<int>(SchedCounter::kMessages) +
+                                   static_cast<int>(kind));
+}
+constexpr SchedCounter created_counter(TaskState s) {
+  return static_cast<SchedCounter>(static_cast<int>(SchedCounter::kCreated) +
+                                   static_cast<int>(s));
+}
+constexpr SchedCounter transition_counter(TaskState from, TaskState to) {
+  return static_cast<SchedCounter>(
+      static_cast<std::size_t>(SchedCounter::kTransitions) +
+      static_cast<std::size_t>(from) * kNumTaskStates +
+      static_cast<std::size_t>(to));
+}
 
 class Scheduler {
 public:
@@ -139,20 +172,20 @@ public:
   exec::Co<void> run_failure_detector();
 
   // ---- observability ----
+  const obs::CounterBlock<SchedCounter>& counters() const { return counters_; }
   std::uint64_t messages_received(SchedMsgKind kind) const {
-    return arrivals_[static_cast<std::size_t>(kind)];
+    return counters_[arrival_counter(kind)];
   }
-  std::uint64_t total_messages() const { return total_messages_; }
-  std::uint64_t retries_performed() const { return retries_performed_; }
+  std::uint64_t total_messages() const {
+    return counters_[SchedCounter::kMessagesTotal];
+  }
   double total_service_time() const { return server_.total_busy_time(); }
   double total_queueing_time() const { return server_.total_waiting_time(); }
   TaskState state_of(const Key& key) const;
   bool knows(const Key& key) const { return keys_.find(key) != kNoKeyId; }
   std::size_t task_count() const { return records_.size(); }
-  std::size_t count_in_state(TaskState s) const {
-    return state_counts_[static_cast<std::size_t>(s)];
-  }
-  const RecoveryCounters& recovery() const { return recovery_; }
+  /// Records now in state `s`: created there, plus entered, minus left.
+  std::size_t count_in_state(TaskState s) const;
 
   // ---- refcount-GC introspection (property/stress tests) ----
   /// Consumers of `key` charged at ingestion and not yet finished.
@@ -160,8 +193,6 @@ public:
   /// Whether the GC released `key`'s data (kMemory records only; the
   /// record itself is never erased).
   bool is_released(const Key& key) const;
-  /// Keys whose data the GC has released so far.
-  std::uint64_t keys_released() const { return keys_released_; }
 
   bool worker_is_dead(int worker) const {
     return worker >= 0 && static_cast<std::size_t>(worker) < dead_.size() &&
@@ -190,15 +221,6 @@ public:
   std::size_t pending_waiters() const;
   /// Lost external keys still queued for a producer re-push.
   std::size_t repush_pending() const;
-
-  // ---- cross-shard protocol introspection ----
-  /// Dependency edges wired to a remote-owned mirror record (0 when
-  /// single-sharded).
-  std::uint64_t shard_remote_edges() const { return shard_remote_edges_; }
-  /// kShardKeyDone notifications this shard sent to subscriber shards.
-  std::uint64_t shard_notify_msgs() const { return shard_notify_msgs_; }
-  /// kShardKeyReleased consumer-drain acks this shard sent to owners.
-  std::uint64_t shard_release_acks() const { return shard_release_acks_; }
 
 private:
   /// Where a record's data comes from — decides what a lost key implies:
@@ -271,12 +293,12 @@ private:
   /// Create the record for a freshly interned id (records_ grows in
   /// lockstep with the key table).
   TaskRecord& create_record(KeyId id);
-  /// Record a task entering the state machine (tracing/metrics/state
-  /// counts) — called after the creator set state/origin.
+  /// Record a task entering the state machine (tracing and counters) —
+  /// called after the creator set state/origin.
   void record_created(KeyId id, TaskRecord& rec);
   /// Move record `id` to state `to`, emitting the lifecycle event (a
-  /// span for the time spent in the previous state), transition counters
-  /// and the flat per-state counts.
+  /// span for the time spent in the previous state) and the transition
+  /// counter.
   void transition(KeyId id, TaskRecord& rec, TaskState to);
 
   // ---- edge pool ----
@@ -417,7 +439,6 @@ private:
   KeyId ready_head_ = kNoKeyId;   // intrusive FIFO of kReady tasks
   KeyId ready_tail_ = kNoKeyId;
   std::size_t ready_size_ = 0;
-  std::array<std::size_t, kNumTaskStates> state_counts_{};
   // Handler-local scratch, reused across messages to stay allocation-free
   // on the hot path (handlers are fully serialized by run()).
   std::vector<KeyId> scratch_dependents_;
@@ -446,10 +467,7 @@ private:
   };
   std::unordered_map<std::string, QueueSlot> queues_;
 
-  std::array<std::uint64_t, kSchedMsgKindCount> arrivals_{};
-  std::uint64_t total_messages_ = 0;
-  std::uint64_t retries_performed_ = 0;
-  std::uint64_t keys_released_ = 0;
+  obs::CounterBlock<SchedCounter> counters_;
   /// Causality id of the handling span of the message currently being
   /// processed (0 untraced); stamped into outgoing assigns and recorded
   /// as done_cause when a key completes.
@@ -472,7 +490,6 @@ private:
   std::unordered_map<int, std::vector<KeyId>> repush_;
   // Latest wake-up channel per producing client (see SchedMsg::notify).
   std::unordered_map<int, std::shared_ptr<exec::Channel<int>>> producer_notify_;
-  RecoveryCounters recovery_;
 
   // ---- cross-shard protocol state (see shard.hpp) ----
   int shard_index_ = 0;
@@ -491,9 +508,6 @@ private:
   /// Subscriber side: consumer charges already acked back to the owner
   /// per mirror record (ever_consumers - acked = still to drain).
   std::unordered_map<KeyId, int> shard_drain_acked_;
-  std::uint64_t shard_remote_edges_ = 0;
-  std::uint64_t shard_notify_msgs_ = 0;
-  std::uint64_t shard_release_acks_ = 0;
   /// Liveness-broadcast epoch: shard 0 stamps each kShardWorkerDead with
   /// a fresh epoch; peers drop anything at or below the last one seen.
   std::uint64_t shard_death_epoch_ = 0;

@@ -81,17 +81,26 @@ public:
   void send_shutdown();
 
   // ---- aggregated observability (sums over shards) ----
-  std::uint64_t total_messages() const;
-  std::uint64_t messages_received(SchedMsgKind kind) const;
+  /// Counter `c` summed over every shard's block. Per-shard values stay
+  /// readable through shard(i).counters(); recovery work is spread across
+  /// shards (each recovers its own records) while shard 0 counts
+  /// kWorkersLost exactly once per death.
+  std::uint64_t sum(SchedCounter c) const;
+  std::uint64_t total_messages() const {
+    return sum(SchedCounter::kMessagesTotal);
+  }
+  std::uint64_t messages_received(SchedMsgKind kind) const {
+    return sum(arrival_counter(kind));
+  }
+  std::uint64_t keys_released() const {
+    return sum(SchedCounter::kKeysReleased);
+  }
+  std::uint64_t remote_edges() const { return sum(SchedCounter::kRemoteEdges); }
+  std::uint64_t notify_msgs() const { return sum(SchedCounter::kNotifyMsgs); }
+  std::uint64_t release_acks() const {
+    return sum(SchedCounter::kReleaseAcks);
+  }
   double total_service_time() const;
-  std::uint64_t keys_released() const;
-  std::uint64_t remote_edges() const;
-  std::uint64_t notify_msgs() const;
-  std::uint64_t release_acks() const;
-  /// Field-wise sum of every shard's recovery counters. Each shard runs
-  /// lineage recovery over its own records, so the totals live spread
-  /// across shards (shard 0 counts workers_lost exactly once per death).
-  RecoveryCounters recovery() const;
 
 private:
   ShardMapper mapper_;

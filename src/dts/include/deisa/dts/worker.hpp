@@ -11,6 +11,8 @@
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/exec/primitives.hpp"
+#include "deisa/obs/dataplane.hpp"
+#include "deisa/obs/metrics.hpp"
 
 namespace deisa::dts {
 
@@ -27,6 +29,55 @@ struct WorkerParams {
   /// lazily-resolved proxy handles (kProxy). Must match the clients'.
   DataPlane data_plane = DataPlane::kCopy;
 };
+
+/// A worker's counters (see metric_name() for their names).
+enum class WorkerCounter : std::uint8_t {
+  kTasksExecuted,  // results reported to the scheduler, erred included
+  kTasksErred,
+  kKeysReleased,  // scheduler-directed GC releases
+  kBytesReleased,
+  kMessagesDroppedDead,  // inbox messages swallowed after a crash
+  kCrashes,
+  kPeerFetches,  // requests sent on the wire (not cache hits or joins)
+  kPeerFetchBytes,
+  kPeerFetchCachedBytes,  // kept apart from bytes_stored()
+  kPeerFetchCacheHits,
+  kPeerFetchShared,  // joined a fetch already in flight
+  kProxiesReceived,
+  kProxyPulls,        // cross-node handle resolutions
+  kProxyLocalDerefs,  // same-node (zero-copy) resolutions
+  kProxyForwardedPulls,
+  kProxyForwards,  // unresolved handles forwarded to a requester
+  kBytesMoved,
+  kBytesReferenced,
+  kCount,
+};
+
+inline const char* metric_name(WorkerCounter c) {
+  using enum WorkerCounter;
+  switch (c) {
+    case kTasksExecuted: return "worker.tasks_executed";
+    case kTasksErred: return "worker.tasks_erred";
+    case kKeysReleased: return "worker.keys_released";
+    case kBytesReleased: return "worker.bytes_released";
+    case kMessagesDroppedDead: return "worker.messages_dropped_dead";
+    case kCrashes: return "worker.crashes";
+    case kPeerFetches: return "worker.peer_fetches";
+    case kPeerFetchBytes: return "worker.peer_fetch_bytes";
+    case kPeerFetchCachedBytes: return "worker.peer_fetch_cached_bytes";
+    case kPeerFetchCacheHits: return "worker.peer_fetch_cache_hits";
+    case kPeerFetchShared: return "worker.peer_fetch_shared";
+    case kProxiesReceived: return "worker.proxies_received";
+    case kProxyPulls: return "worker.proxy_pulls";
+    case kProxyLocalDerefs: return "worker.proxy_local_derefs";
+    case kProxyForwardedPulls: return "worker.proxy_forwarded_pulls";
+    case kProxyForwards: return "worker.proxy_forwards";
+    case kBytesMoved: return obs::kBytesMoved;
+    case kBytesReferenced: return obs::kBytesReferenced;
+    case kCount: break;
+  }
+  return "?";
+}
 
 class Worker {
 public:
@@ -64,25 +115,15 @@ public:
   bool alive() const { return alive_; }
 
   // ---- observability ----
-  std::uint64_t tasks_executed() const { return tasks_executed_; }
+  const obs::CounterBlock<WorkerCounter>& counters() const { return counters_; }
+  /// Tasks that executed successfully.
+  std::uint64_t tasks_executed() const {
+    return counters_[WorkerCounter::kTasksExecuted] -
+           counters_[WorkerCounter::kTasksErred];
+  }
   /// Cumulative bytes ever stored (throughput measure). Excludes cached
-  /// copies of peer-fetched dependencies — see peer_fetch_cached_bytes().
+  /// copies of peer-fetched dependencies (kPeerFetchCachedBytes).
   std::uint64_t bytes_stored() const { return bytes_stored_; }
-  /// Cumulative bytes cached locally from peer fetches. Kept separate
-  /// from bytes_stored() so dependency traffic does not inflate the
-  /// worker's apparent store throughput.
-  std::uint64_t peer_fetch_cached_bytes() const {
-    return peer_fetch_cached_bytes_;
-  }
-  /// Peer-fetch requests actually sent on the wire (cache hits and
-  /// joined in-flight fetches never issue one).
-  std::uint64_t peer_fetches() const { return peer_fetches_; }
-  /// Fetches satisfied by joining a request already in flight.
-  std::uint64_t peer_fetches_shared() const { return peer_fetches_shared_; }
-  /// Fetches satisfied by an earlier fetch's cached copy.
-  std::uint64_t peer_fetch_cache_hits() const {
-    return peer_fetch_cache_hits_;
-  }
   /// Bytes currently resident in the worker's store.
   std::uint64_t memory_bytes() const { return memory_bytes_; }
   /// High-water mark of memory_bytes() over the worker's lifetime. The
@@ -91,8 +132,6 @@ public:
   std::size_t keys_in_memory() const { return store_.size(); }
   /// Unresolved proxy handles currently registered (proxy plane only).
   std::size_t keys_proxied() const { return proxy_.size(); }
-  /// Keys dropped by scheduler-directed GC releases.
-  std::uint64_t keys_released() const { return keys_released_; }
   /// Drop a key from local memory (scheduler-directed release).
   bool release_key(const Key& key);
   bool has_local(const Key& key) const { return store_.count(key) != 0; }
@@ -130,19 +169,23 @@ private:
   exec::Co<void> handle_get_data(WorkerMsg msg);
   void store_put(Key key, Data data);
   /// Like store_put, but accounts the bytes as a cached peer copy
-  /// (memory_bytes_ and peer_fetch_cached_bytes_, not bytes_stored_).
+  /// (memory_bytes_ and kPeerFetchCachedBytes, not bytes_stored_).
   void store_put_cached(Key key, Data data);
   exec::Co<void> notify_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable);
 
   /// Update the memory gauge + counter track after a store change.
   void record_memory();
+  /// Charge a payload hand-off to bytes_moved (kCopy) or
+  /// bytes_referenced (kProxy): how a local read behaves on this plane.
+  void count_local_read(std::uint64_t bytes);
 
   exec::Executor* engine_;
   exec::Transport* cluster_;
   int id_;
   int node_;
   std::string actor_;  // trace actor name, "worker-<id>"
+  std::string memory_gauge_;  // "<actor>.memory_bytes"
   WorkerParams params_;
   exec::Channel<WorkerMsg> inbox_;
   exec::FifoServer cpu_;
@@ -168,15 +211,10 @@ private:
   std::unordered_map<Key, std::shared_ptr<InflightFetch>> resolving_;
   /// Bounds the number of concurrent outbound peer fetches (NIC model).
   exec::Semaphore fetch_slots_;
-  std::uint64_t tasks_executed_ = 0;
+  obs::CounterBlock<WorkerCounter> counters_;
   std::uint64_t bytes_stored_ = 0;
-  std::uint64_t peer_fetch_cached_bytes_ = 0;
-  std::uint64_t peer_fetches_ = 0;
-  std::uint64_t peer_fetches_shared_ = 0;
-  std::uint64_t peer_fetch_cache_hits_ = 0;
   std::uint64_t memory_bytes_ = 0;
   std::uint64_t peak_memory_bytes_ = 0;
-  std::uint64_t keys_released_ = 0;
   bool stopping_ = false;
   bool alive_ = true;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
 
@@ -77,6 +76,54 @@ bool transition_valid(TaskState from, TaskState to) {
       return false;  // terminal: stale stimuli must be dropped upstream
   }
   return false;
+}
+
+std::string metric_name(SchedCounter c) {
+  const int i = static_cast<int>(c);
+  const int edge = i - static_cast<int>(SchedCounter::kTransitions);
+  const int state = i - static_cast<int>(SchedCounter::kCreated);
+  const int kind = i - static_cast<int>(SchedCounter::kMessages);
+  const int n = static_cast<int>(kNumTaskStates);
+  if (edge >= 0)
+    return std::string("scheduler.transitions.") +
+           to_string(static_cast<TaskState>(edge / n)) + "->" +
+           to_string(static_cast<TaskState>(edge % n));
+  if (state >= 0)
+    return std::string("scheduler.created.") +
+           to_string(static_cast<TaskState>(state));
+  if (kind >= 0)
+    return std::string("scheduler.messages.") +
+           to_string(static_cast<SchedMsgKind>(kind));
+  using enum SchedCounter;
+  switch (c) {
+    case kMessagesTotal: return "scheduler.messages.total";
+    case kTasksCreated: return "scheduler.tasks.created";
+    case kRetries: return "scheduler.retries";
+    case kStaleTaskFinished: return "scheduler.stale.task_finished";
+    case kStaleUpdateData: return "scheduler.stale.update_data";
+    case kStaleHeartbeats: return "scheduler.stale.heartbeats";
+    case kSuspected: return "scheduler.recovery.suspected";
+    case kWorkersLost: return "scheduler.recovery.workers_lost";
+    case kTasksRerun: return "scheduler.recovery.tasks_rerun";
+    case kKeysRecomputed: return "scheduler.recovery.keys_recomputed";
+    case kExternalRearmed: return "scheduler.recovery.external_rearmed";
+    case kExternalRerouted: return "scheduler.recovery.external_rerouted";
+    case kMirrorsRearmed: return "scheduler.recovery.mirrors_rearmed";
+    case kKeysLost: return "scheduler.recovery.keys_lost";
+    case kRepushExpired: return "scheduler.recovery.repush_expired";
+    case kRemoteEdges: return "scheduler.shard.remote_edges";
+    case kNotifyMsgs: return "scheduler.shard.notify_msgs";
+    case kReleaseAcks: return "scheduler.shard.release_acks";
+    case kWorkerDead: return "scheduler.shard.worker_dead";
+    case kKeysReleased: return "scheduler.gc.keys_released";
+    case kBytesReleased: return "scheduler.gc.bytes_released";
+    case kMessages:
+    case kCreated:
+    case kTransitions:
+    case kCount:
+      break;  // ranges, handled above
+  }
+  return "?";
 }
 
 std::uint64_t spec_dep_total(const SchedMsg& msg) {
@@ -197,14 +244,20 @@ Scheduler::TaskRecord& Scheduler::create_record(KeyId id) {
   return records_.back();
 }
 
+std::size_t Scheduler::count_in_state(TaskState s) const {
+  std::uint64_t n = counters_[created_counter(s)];
+  for (std::size_t i = 0; i < kNumTaskStates; ++i) {
+    const auto other = static_cast<TaskState>(i);
+    n += counters_[transition_counter(other, s)];
+    n -= counters_[transition_counter(s, other)];
+  }
+  return n;
+}
+
 void Scheduler::record_created(KeyId id, TaskRecord& rec) {
   rec.state_since = engine_->now();
-  ++state_counts_[static_cast<std::size_t>(rec.state)];
-  if (auto* m = obs::metrics()) {
-    m->counter("scheduler.tasks.created").add();
-    m->counter(std::string("scheduler.created.") + to_string(rec.state))
-        .add();
-  }
+  counters_.add(SchedCounter::kTasksCreated);
+  counters_.add(created_counter(rec.state));
   if (auto* r = obs::tracer())
     r->instant(r->track(actor_, "lifecycle"), "create:" + keys_.name(id),
                {obs::arg("state", to_string(rec.state))});
@@ -219,10 +272,7 @@ void Scheduler::transition(KeyId id, TaskRecord& rec, TaskState to) {
                                      << keys_.name(id));
   DEISA_TRACE("scheduler", keys_.name(id) << ": " << to_string(from) << " -> "
                                           << to_string(to));
-  if (auto* m = obs::metrics())
-    m->counter(std::string("scheduler.transitions.") + to_string(from) +
-               "->" + to_string(to))
-        .add();
+  counters_.add(transition_counter(from, to));
   if (auto* r = obs::tracer()) {
     // Time spent in the state being left, as a span on that state's lane;
     // terminal states (memory/erred) show up as lifecycle instants.
@@ -234,8 +284,6 @@ void Scheduler::transition(KeyId id, TaskRecord& rec, TaskState to) {
                {obs::arg("from", to_string(from)),
                 obs::arg("to", to_string(to))});
   }
-  --state_counts_[static_cast<std::size_t>(from)];
-  ++state_counts_[static_cast<std::size_t>(to)];
   // Queue-depth bookkeeping for the least-loaded policy: every edge in
   // or out of kProcessing passes through here with rec.worker holding
   // the assigned worker (assign sets it before transitioning in;
@@ -296,13 +344,8 @@ exec::Co<void> Scheduler::drain_ready() {
 exec::Co<void> Scheduler::run() {
   while (true) {
     SchedMsg msg = co_await inbox_.recv();
-    ++total_messages_;
-    ++arrivals_[static_cast<std::size_t>(msg.kind)];
-    if (auto* m = obs::metrics()) {
-      m->counter("scheduler.messages.total").add();
-      m->counter(std::string("scheduler.messages.") + to_string(msg.kind))
-          .add();
-    }
+    counters_.add(SchedCounter::kMessagesTotal);
+    counters_.add(arrival_counter(msg.kind));
     // Guarded so the disabled path never builds the name string: this
     // loop is the scheduler-throughput hot path.
     obs::Span span;
@@ -344,8 +387,7 @@ exec::Co<void> Scheduler::handle(SchedMsg msg) {
       if (msg.worker >= 0 &&
           static_cast<std::size_t>(msg.worker) < workers_.size()) {
         if (is_dead(msg.worker)) {
-          ++recovery_.stale_heartbeats;
-          obs::count("scheduler.stale.heartbeats");
+          counters_.add(SchedCounter::kStaleHeartbeats);
         } else {
           last_heartbeat_[static_cast<std::size_t>(msg.worker)] =
               engine_->now();
@@ -477,10 +519,8 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
                   "graph references key '" << dep
                                            << "' already released by the "
                                               "refcount GC");
-      if (drec.origin == Origin::kRemote) {
-        ++shard_remote_edges_;
-        obs::count("scheduler.shard.remote_edges");
-      }
+      if (drec.origin == Origin::kRemote)
+        counters_.add(SchedCounter::kRemoteEdges);
       deps_pool_.push_back(d);
       ++records_[id].dep_count;
       // Refcount plane: charge the dep one consumer per dependent edge
@@ -578,8 +618,7 @@ exec::Co<void> Scheduler::notify_one_shard(int shard, KeyId id, bool erred) {
   }
   m.sender_node = node_;
   m.cause = current_cause_;
-  ++shard_notify_msgs_;
-  obs::count("scheduler.shard.notify_msgs");
+  counters_.add(SchedCounter::kNotifyMsgs);
   exec::Channel<SchedMsg>* peer = shard_peers_[static_cast<std::size_t>(shard)];
   DEISA_ASSERT(peer != nullptr, "no inbox for shard " << shard);
   // Shards are co-located on the scheduler node; the notification still
@@ -691,8 +730,7 @@ exec::Co<void> Scheduler::maybe_release(KeyId id, TaskRecord& rec) {
     m.bytes = static_cast<std::uint64_t>(count);
     m.sender_node = node_;
     m.cause = current_cause_;
-    ++shard_release_acks_;
-    obs::count("scheduler.shard.release_acks");
+    counters_.add(SchedCounter::kReleaseAcks);
     exec::Channel<SchedMsg>* peer =
         shard_peers_[static_cast<std::size_t>(owner)];
     DEISA_ASSERT(peer != nullptr, "no inbox for shard " << owner);
@@ -722,12 +760,9 @@ exec::Co<void> Scheduler::maybe_release(KeyId id, TaskRecord& rec) {
   if (waiters_.count(id) != 0) co_return;
   if (rec.worker < 0 || worker_is_dead(rec.worker)) co_return;
   rec.released = true;
-  ++keys_released_;
+  counters_.add(SchedCounter::kKeysReleased);
+  counters_.add(SchedCounter::kBytesReleased, rec.bytes);
   has_what_[static_cast<std::size_t>(rec.worker)].erase(id);
-  if (auto* m = obs::metrics()) {
-    m->counter("scheduler.gc.keys_released").add();
-    m->counter("scheduler.gc.bytes_released").add(rec.bytes);
-  }
   obs::trace_instant(actor_, "gc", "release:" + keys_.name(id));
   // Tell the owner to drop the bytes (store copy, unresolved handle, and
   // the proxy deposit it owns). State stays kMemory: the release is a
@@ -941,8 +976,7 @@ exec::Co<void> Scheduler::finish_task(KeyId id, TaskRecord& rec, int worker,
 exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
   const KeyId id = keys_.find(msg.key);
   if (id == kNoKeyId) {
-    ++recovery_.stale_task_finished;
-    obs::count("scheduler.stale.task_finished");
+    counters_.add(SchedCounter::kStaleTaskFinished);
     co_return;
   }
   TaskRecord& rec = records_[id];
@@ -953,8 +987,7 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
   // fault-duplicated delivery — is dropped here, never reaching an
   // illegal transition.
   if (rec.state != TaskState::kProcessing || rec.worker != msg.worker) {
-    ++recovery_.stale_task_finished;
-    obs::count("scheduler.stale.task_finished");
+    counters_.add(SchedCounter::kStaleTaskFinished);
     obs::trace_instant(actor_, "recovery", "stale_finish:" + msg.key);
     co_return;
   }
@@ -964,8 +997,7 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
     // returns to ready and is re-assigned (possibly elsewhere). The stale
     // guard above makes this always a processing→ready edge — the retry
     // path can no longer lift a task out of erred.
-    ++retries_performed_;
-    obs::count("scheduler.retries");
+    counters_.add(SchedCounter::kRetries);
     push_ready(id);
     co_await drain_ready();
     co_return;
@@ -990,8 +1022,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
       rec.state = TaskState::kErred;
       errors_[id] = "scattered to lost worker " + std::to_string(worker);
       record_created(id, rec);
-      ++recovery_.keys_lost;
-      obs::count("scheduler.recovery.keys_lost");
+      counters_.add(SchedCounter::kKeysLost);
       ack = kAckErred;
     } else {
       // Plain scatter of a fresh key: register it directly in memory.
@@ -1012,8 +1043,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
       case TaskState::kErred:
         // Push to a cancelled/poisoned key (the old DEISA_CHECK abort):
         // acknowledge and discard so the producer keeps stepping.
-        ++recovery_.stale_update_data;
-        obs::count("scheduler.stale.update_data");
+        counters_.add(SchedCounter::kStaleUpdateData);
         obs::trace_instant(actor_, "recovery", "stale_push:" + key);
         ack = kAckDiscarded;
         break;
@@ -1033,8 +1063,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
             rec.preferred_worker = pick_live_worker();
           repush_[sender_client].push_back(id);
           engine_->spawn(repush_deadline(key, rec.rearm_epoch));
-          ++recovery_.external_rearmed;
-          obs::count("scheduler.recovery.external_rearmed");
+          counters_.add(SchedCounter::kExternalRearmed);
           ack = kAckRepushPending;
         } else {
           // external -> memory, then the normal finished-task cascade.
@@ -1046,8 +1075,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
         if (external) {
           // Duplicate delivery of a push that already completed the key
           // (fault duplication, or a replay racing the original).
-          ++recovery_.stale_update_data;
-          obs::count("scheduler.stale.update_data");
+          counters_.add(SchedCounter::kStaleUpdateData);
           ack = kAckDiscarded;
         } else {
           // Re-scatter of an existing key: refresh location. Fresh bytes
@@ -1149,8 +1177,7 @@ void Scheduler::handle_create_external(SchedMsg& msg) {
         // Preselection targets a worker that has since died: re-route at
         // creation so the producer is never told to push at a corpse.
         pw = pick_live_worker();
-        ++recovery_.external_rerouted;
-        obs::count("scheduler.recovery.external_rerouted");
+        counters_.add(SchedCounter::kExternalRerouted);
       }
       rec.preferred_worker = pw;
     }
@@ -1258,7 +1285,7 @@ exec::Co<void> Scheduler::run_failure_detector() {
       // Report through the scheduler's own inbox so recovery serializes
       // with every other handler instead of mutating records mid-flight.
       suspected_[w] = 1;
-      obs::count("scheduler.recovery.suspected");
+      counters_.add(SchedCounter::kSuspected);
       obs::trace_instant(actor_, "recovery",
                          "suspect:worker-" + std::to_string(ref.id));
       SchedMsg m(SchedMsgKind::kWorkerLost);
@@ -1284,8 +1311,7 @@ exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
                         << "onto");
   dead_[static_cast<std::size_t>(w)] = 1;
   ++dead_count_;
-  ++recovery_.workers_lost;
-  obs::count("scheduler.recovery.workers_lost");
+  counters_.add(SchedCounter::kWorkersLost);
   obs::trace_instant(actor_, "recovery",
                      "worker_lost:worker-" + std::to_string(w));
   DEISA_TRACE("scheduler", "worker " << w << " declared lost; recovering");
@@ -1322,9 +1348,9 @@ exec::Co<void> Scheduler::handle_shard_worker_dead(SchedMsg& msg) {
   shard_last_death_epoch_ = msg.bytes;
   dead_[static_cast<std::size_t>(w)] = 1;
   ++dead_count_;
-  // recovery_.workers_lost stays untouched here: shard 0 counted the
+  // kWorkersLost stays untouched here: shard 0 counted the
   // death once; per-shard sums must equal the single-scheduler count.
-  obs::count("scheduler.shard.worker_dead");
+  counters_.add(SchedCounter::kWorkerDead);
   obs::trace_instant(actor_, "recovery",
                      "shard_worker_dead:worker-" + std::to_string(w));
   co_await recover_worker(w);
@@ -1357,8 +1383,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
         rec.worker = -1;
         rec.bytes = 0;
         rec.nwaiting = 0;
-        ++recovery_.keys_recomputed;
-        obs::count("scheduler.recovery.keys_recomputed");
+        counters_.add(SchedCounter::kKeysRecomputed);
         break;
       case Origin::kExternal:
         // The producer still holds the block: re-arm the external state
@@ -1370,8 +1395,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
         ++rec.rearm_epoch;
         rec.preferred_worker = pick_live_worker();
         rearmed.push_back(id);
-        ++recovery_.external_rearmed;
-        obs::count("scheduler.recovery.external_rearmed");
+        counters_.add(SchedCounter::kExternalRearmed);
         break;
       case Origin::kScattered:
         // No lineage and no re-push protocol: unrecoverable. Poisoned
@@ -1379,8 +1403,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
         // reaches every consumer.
         to_poison.emplace_back(
             id, "scattered data lost with worker " + std::to_string(w));
-        ++recovery_.keys_lost;
-        obs::count("scheduler.recovery.keys_lost");
+        counters_.add(SchedCounter::kKeysLost);
         break;
       case Origin::kRemote:
         // Mirror of a key owned by another shard: the owner recovers the
@@ -1392,8 +1415,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
         rec.worker = -1;
         rec.bytes = 0;
         rec.nwaiting = 0;
-        ++recovery_.mirrors_rearmed;
-        obs::count("scheduler.recovery.mirrors_rearmed");
+        counters_.add(SchedCounter::kMirrorsRearmed);
         break;
     }
   }
@@ -1449,8 +1471,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
           add_dependent(drec, id);
         }
       }
-      ++recovery_.tasks_rerun;
-      obs::count("scheduler.recovery.tasks_rerun");
+      counters_.add(SchedCounter::kTasksRerun);
       if (doomed)
         to_poison.emplace_back(id, "dependency unrecoverable after loss "
                                    "of worker " +
@@ -1464,8 +1485,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
       // re-armed in phase 1 already point at a survivor, so this only
       // catches never-pushed preselections.)
       rec.preferred_worker = pick_live_worker();
-      ++recovery_.external_rerouted;
-      obs::count("scheduler.recovery.external_rerouted");
+      counters_.add(SchedCounter::kExternalRerouted);
     }
   }
   // Phase 3: fail the unrecoverable cones (waiters get kAckErred now
@@ -1531,8 +1551,7 @@ exec::Co<void> Scheduler::handle_repush_expired(SchedMsg& msg) {
   // was replayed and re-armed again after this deadline was set.
   if (rec.state != TaskState::kExternal || rec.rearm_epoch != msg.bytes)
     co_return;
-  ++recovery_.repush_expired;
-  obs::count("scheduler.recovery.repush_expired");
+  counters_.add(SchedCounter::kRepushExpired);
   obs::trace_instant(actor_, "recovery", "repush_expired:" + msg.key);
   for (auto& [client, ids] : repush_)
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());

@@ -50,15 +50,9 @@ void ShardedScheduler::send_shutdown() {
   }
 }
 
-std::uint64_t ShardedScheduler::total_messages() const {
+std::uint64_t ShardedScheduler::sum(SchedCounter c) const {
   std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->total_messages();
-  return n;
-}
-
-std::uint64_t ShardedScheduler::messages_received(SchedMsgKind kind) const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->messages_received(kind);
+  for (const auto& s : shards_) n += s->counters()[c];
   return n;
 }
 
@@ -66,49 +60,6 @@ double ShardedScheduler::total_service_time() const {
   double t = 0.0;
   for (const auto& s : shards_) t += s->total_service_time();
   return t;
-}
-
-std::uint64_t ShardedScheduler::keys_released() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->keys_released();
-  return n;
-}
-
-std::uint64_t ShardedScheduler::remote_edges() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->shard_remote_edges();
-  return n;
-}
-
-std::uint64_t ShardedScheduler::notify_msgs() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->shard_notify_msgs();
-  return n;
-}
-
-std::uint64_t ShardedScheduler::release_acks() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->shard_release_acks();
-  return n;
-}
-
-RecoveryCounters ShardedScheduler::recovery() const {
-  RecoveryCounters sum;
-  for (const auto& s : shards_) {
-    const RecoveryCounters& r = s->recovery();
-    sum.workers_lost += r.workers_lost;
-    sum.tasks_rerun += r.tasks_rerun;
-    sum.keys_recomputed += r.keys_recomputed;
-    sum.external_rearmed += r.external_rearmed;
-    sum.external_rerouted += r.external_rerouted;
-    sum.mirrors_rearmed += r.mirrors_rearmed;
-    sum.keys_lost += r.keys_lost;
-    sum.repush_expired += r.repush_expired;
-    sum.stale_task_finished += r.stale_task_finished;
-    sum.stale_update_data += r.stale_update_data;
-    sum.stale_heartbeats += r.stale_heartbeats;
-  }
-  return sum;
 }
 
 }  // namespace deisa::dts

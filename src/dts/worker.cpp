@@ -1,8 +1,6 @@
 #include "deisa/dts/worker.hpp"
 
 #include "deisa/dts/shard.hpp"
-#include "deisa/obs/dataplane.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::dts {
@@ -14,6 +12,7 @@ Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int nod
       id_(id),
       node_(node),
       actor_("worker-" + std::to_string(id)),
+      memory_gauge_(actor_ + ".memory_bytes"),
       params_(params),
       inbox_(engine),
       cpu_(engine, static_cast<std::size_t>(std::max(1, params.nthreads))),
@@ -23,11 +22,16 @@ Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int nod
 void Worker::record_memory() {
   if (memory_bytes_ > peak_memory_bytes_) peak_memory_bytes_ = memory_bytes_;
   if (auto* m = obs::metrics())
-    m->gauge(actor_ + ".memory_bytes")
-        .set(static_cast<double>(memory_bytes_));
-  if (auto* r = obs::tracer())
-    r->counter(r->track(actor_, "memory"), "memory_bytes",
-               static_cast<double>(memory_bytes_));
+    m->gauge(memory_gauge_).set(static_cast<double>(memory_bytes_));
+  obs::trace_counter(actor_, "memory", "memory_bytes",
+                     static_cast<double>(memory_bytes_));
+}
+
+void Worker::count_local_read(std::uint64_t bytes) {
+  counters_.add(params_.data_plane == DataPlane::kCopy
+                    ? WorkerCounter::kBytesMoved
+                    : WorkerCounter::kBytesReferenced,
+                bytes);
 }
 
 void Worker::attach(int scheduler_node,
@@ -45,7 +49,7 @@ exec::Co<void> Worker::run() {
       // Crashed worker: every message disappears into the void. Senders
       // that expected a reply stay blocked and are reaped at teardown;
       // the scheduler learns of the death from the missed heartbeats.
-      obs::count("worker.messages_dropped_dead");
+      counters_.add(WorkerCounter::kMessagesDroppedDead);
       continue;
     }
     switch (msg.kind) {
@@ -91,11 +95,8 @@ exec::Co<void> Worker::run() {
         release_key(msg.key);
         proxy_.erase(msg.key);
         if (depot_) freed += depot_->erase(msg.key);
-        ++keys_released_;
-        if (auto* m = obs::metrics()) {
-          m->counter("worker.keys_released").add();
-          m->counter("worker.bytes_released").add(freed);
-        }
+        counters_.add(WorkerCounter::kKeysReleased);
+        counters_.add(WorkerCounter::kBytesReleased, freed);
         break;
       }
       case WorkerMsgKind::kShutdown:
@@ -125,7 +126,7 @@ void Worker::crash() {
                    // in the depot for the re-push protocol to re-route
   memory_bytes_ = 0;
   record_memory();
-  obs::count("worker.crashes");
+  counters_.add(WorkerCounter::kCrashes);
   obs::trace_instant(actor_, "lifecycle", "crash");
 }
 
@@ -158,9 +159,7 @@ void Worker::store_put_cached(Key key, Data data) {
   // A cached copy of a peer's data is resident memory, but it is not new
   // data produced or received by this worker: account it on its own
   // counter so bytes_stored() keeps measuring store throughput.
-  peer_fetch_cached_bytes_ += data.bytes;
-  if (auto* m = obs::metrics())
-    m->counter("worker.peer_fetch_cached_bytes").add(data.bytes);
+  counters_.add(WorkerCounter::kPeerFetchCachedBytes, data.bytes);
   memory_bytes_ += data.bytes;
   const auto [slot, fresh] = store_.try_emplace(std::move(key));
   if (!fresh) memory_bytes_ -= slot->second.bytes;
@@ -177,7 +176,7 @@ void Worker::store_put_proxy(Key key, const ProxyHandle& handle) {
   // A handle is metadata, not resident payload: memory accounting stays
   // untouched until resolution materializes the bytes.
   proxy_[key] = handle;
-  obs::count("worker.proxies_received");
+  counters_.add(WorkerCounter::kProxiesReceived);
   // Wake local_ref loops parked on this key; they re-probe, find the
   // handle, and resolve it.
   const auto it = arrivals_.find(key);
@@ -210,13 +209,13 @@ exec::Co<void> Worker::resolve_proxy(const Key& key) {
     // the same transport a copy-plane push would have used eagerly.
     co_await cluster_->transfer(handle.location, node_,
                                 std::max(handle.bytes, kMinTransferBytes));
-    obs::count_moved(handle.bytes);
-    obs::count("worker.proxy_pulls");
+    counters_.add(WorkerCounter::kBytesMoved, handle.bytes);
+    counters_.add(WorkerCounter::kProxyPulls);
   } else {
     // Same-node dereference: zero-copy (shared_ptr alias out of the
     // depot; the threaded transport's local bypass for real scratch).
-    obs::count_referenced(handle.bytes);
-    obs::count("worker.proxy_local_derefs");
+    counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
+    counters_.add(WorkerCounter::kProxyLocalDerefs);
   }
   fetch_slots_.release();
   span.finish();
@@ -261,30 +260,22 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     // (every local dependency read duplicates the payload); the proxy
     // plane reads by reference, so local deps move zero extra bytes.
     const Data* d = co_await local_ref(dep.key);
-    if (params_.data_plane == DataPlane::kCopy)
-      obs::count_moved(d->bytes);
-    else
-      obs::count_referenced(d->bytes);
+    count_local_read(d->bytes);
     co_return *d;
   }
   DEISA_CHECK(static_cast<std::size_t>(dep.owner) < peers_.size(),
               "dep owner " << dep.owner << " unknown");
   // Already cached from an earlier fetch: no network round trip.
   if (const auto hit = store_.find(dep.key); hit != store_.end()) {
-    ++peer_fetch_cache_hits_;
-    obs::count("worker.peer_fetch_cache_hits");
-    if (params_.data_plane == DataPlane::kCopy)
-      obs::count_moved(hit->second.bytes);
-    else
-      obs::count_referenced(hit->second.bytes);
+    counters_.add(WorkerCounter::kPeerFetchCacheHits);
+    count_local_read(hit->second.bytes);
     co_return hit->second;
   }
   // The same key is already on the wire for another task: join that
   // fetch instead of issuing a duplicate request to the peer.
   if (const auto it = inflight_.find(dep.key); it != inflight_.end()) {
     auto flight = it->second;  // keep alive across the await
-    ++peer_fetches_shared_;
-    obs::count("worker.peer_fetch_shared");
+    counters_.add(WorkerCounter::kPeerFetchShared);
     co_await flight->done.wait();
     co_return flight->data;
   }
@@ -317,28 +308,25 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     if (handle.location != node_) {
       co_await cluster_->transfer(handle.location, node_,
                                   std::max(handle.bytes, kMinTransferBytes));
-      obs::count_moved(handle.bytes);
+      counters_.add(WorkerCounter::kBytesMoved, handle.bytes);
     } else {
-      obs::count_referenced(handle.bytes);
+      counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
     }
     Data real;
     const bool deposited = depot_ != nullptr && depot_->fetch(dep.key, real);
     DEISA_CHECK(deposited, "forwarded proxy deposit missing for " << dep.key);
     if (push_cause != 0) real.cause = push_cause;
     d = std::move(real);
-    obs::count("worker.proxy_forwarded_pulls");
+    counters_.add(WorkerCounter::kProxyForwardedPulls);
   } else {
     // Real payload crossed the wire from the owner.
-    obs::count_moved(d.bytes);
+    counters_.add(WorkerCounter::kBytesMoved, d.bytes);
   }
   fetch_slots_.release();
   if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
   span.finish();
-  ++peer_fetches_;
-  if (auto* m = obs::metrics()) {
-    m->counter("worker.peer_fetches").add();
-    m->counter("worker.peer_fetch_bytes").add(d.bytes);
-  }
+  counters_.add(WorkerCounter::kPeerFetches);
+  counters_.add(WorkerCounter::kPeerFetchBytes, d.bytes);
   // Cache locally, as dask workers do (skip if we crashed mid-fetch:
   // the store of a dead worker stays empty).
   if (alive_) store_put_cached(dep.key, d);
@@ -359,8 +347,8 @@ exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
       co_await cluster_->transfer_token(node_, msg.requester_node,
                                         msg.key.size());
       if (!alive_) co_return;
-      obs::count_referenced(handle.bytes);
-      obs::count("worker.proxy_forwards");
+      counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
+      counters_.add(WorkerCounter::kProxyForwards);
       msg.reply_data->send(make_proxy_data(handle));
       co_return;
     }
@@ -432,7 +420,6 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
     if (span.active()) span.add_arg(obs::arg("bytes", out.bytes));
     out.cause = done.cause;  // stored result carries the execute span
     store_put(std::move(spec.key), std::move(out));  // done.key copied above
-    ++tasks_executed_;
   } catch (const std::exception& e) {
     done.erred = true;
     done.error = e.what();
@@ -440,11 +427,10 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
   }
   span.finish();
   if (!alive_) co_return;  // crashed mid-execution: the result dies here
-  if (auto* m = obs::metrics()) {
-    m->counter("worker.tasks_executed").add();
+  counters_.add(WorkerCounter::kTasksExecuted);
+  if (done.erred) counters_.add(WorkerCounter::kTasksErred);
+  if (auto* m = obs::metrics())
     m->histogram("worker.execute_seconds").observe(engine_->now() - exec_start);
-    if (done.erred) m->counter("worker.tasks_erred").add();
-  }
   co_await notify_scheduler(std::move(done), exec::Delivery::kIdempotent);
 }
 

@@ -60,6 +60,33 @@ struct TransferStats {
   std::uint64_t bytes = 0;
 };
 
+/// What every backend counts, each in its own obs::CounterBlock.
+enum class TransportCounter : std::uint8_t {
+  kTransfers,        // bulk transfer() calls
+  kControlMessages,  // send_control() calls
+  kBytes,            // bytes of both
+  kFaultsDelayed,    // bulk transfers the fault hook delayed
+  kFaultsDropped,
+  kFaultsDuplicated,
+  kLocalBypass,      // same-node transfers that skipped the NIC (threads)
+  kCount,
+};
+
+inline const char* metric_name(TransportCounter c) {
+  using enum TransportCounter;
+  switch (c) {
+    case kTransfers: return "net.transfers";
+    case kControlMessages: return "net.control_messages";
+    case kBytes: return "net.bytes";
+    case kFaultsDelayed: return "net.faults.delayed";
+    case kFaultsDropped: return "net.faults.dropped";
+    case kFaultsDuplicated: return "net.faults.duplicated";
+    case kLocalBypass: return "rt.nic.local_bypass";
+    case kCount: break;
+  }
+  return "?";
+}
+
 class Transport {
 public:
   Transport() = default;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "deisa/net/cluster.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace deisa::dts {
@@ -55,6 +56,21 @@ struct FaultPlan {
   std::string describe() const;
 };
 
+/// The injector's counters (its obs::CounterBlock).
+enum class FaultCounter : std::uint8_t {
+  kWorkersKilled,
+  kCount,
+};
+
+inline const char* metric_name(FaultCounter c) {
+  using enum FaultCounter;
+  switch (c) {
+    case kWorkersKilled: return "fault.workers_killed";
+    case kCount: break;
+  }
+  return "?";
+}
+
 /// Arms a FaultPlan against a cluster + runtime: installs the cluster
 /// fault hook (message perturbation) and spawns one kill actor per
 /// planned crash. Must outlive the engine run. With an empty plan this
@@ -68,7 +84,9 @@ public:
   void arm(dts::Runtime& runtime);
 
   const FaultPlan& plan() const { return plan_; }
-  std::uint64_t kills_performed() const { return kills_performed_; }
+  std::uint64_t kills_performed() const {
+    return counters_[FaultCounter::kWorkersKilled];
+  }
 
 private:
   sim::Co<void> kill_at(dts::Runtime& runtime, int worker, double time);
@@ -77,7 +95,7 @@ private:
   net::Cluster* cluster_;
   FaultPlan plan_;
   util::Rng rng_;
-  std::uint64_t kills_performed_ = 0;
+  obs::CounterBlock<FaultCounter> counters_;
   bool armed_ = false;
 };
 

@@ -152,6 +152,23 @@ struct ScenarioParams {
   int nodes_needed() const;
 };
 
+/// Scheduler recovery and stale-stimulus counts of one run or one shard,
+/// read from the scheduler counter blocks once the run is over (field
+/// meanings: dts::SchedCounter).
+struct RecoveryTotals {
+  std::uint64_t workers_lost = 0;
+  std::uint64_t tasks_rerun = 0;
+  std::uint64_t keys_recomputed = 0;
+  std::uint64_t external_rearmed = 0;
+  std::uint64_t external_rerouted = 0;
+  std::uint64_t mirrors_rearmed = 0;
+  std::uint64_t keys_lost = 0;
+  std::uint64_t repush_expired = 0;
+  std::uint64_t stale_task_finished = 0;
+  std::uint64_t stale_update_data = 0;
+  std::uint64_t stale_heartbeats = 0;
+};
+
 struct RunResult {
   Pipeline pipeline{};
   /// Copied from ScenarioParams: generator seed (0 = hand-written) and
@@ -209,10 +226,10 @@ struct RunResult {
 
   /// Scheduler-side recovery counters, summed over all shards (all zero
   /// on fault-free runs).
-  dts::RecoveryCounters recovery;
+  RecoveryTotals recovery;
   /// Per-shard recovery breakdown (size == shards; [0] equals `recovery`
   /// at shards == 1).
-  std::vector<dts::RecoveryCounters> shard_recovery;
+  std::vector<RecoveryTotals> shard_recovery;
   /// Worker crashes actually performed by the fault injector.
   std::uint64_t workers_killed = 0;
 

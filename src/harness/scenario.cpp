@@ -586,6 +586,18 @@ exec::Co<void> orchestrator(World& w, SharedState& st, RunResult& res) {
   co_await w.runtime->shutdown();
 }
 
+/// Recovery totals read through `count` (one shard's block, or the sum).
+template <class Count>
+RecoveryTotals recovery_totals(Count count) {
+  using C = dts::SchedCounter;
+  return {count(C::kWorkersLost),       count(C::kTasksRerun),
+          count(C::kKeysRecomputed),    count(C::kExternalRearmed),
+          count(C::kExternalRerouted),  count(C::kMirrorsRearmed),
+          count(C::kKeysLost),          count(C::kRepushExpired),
+          count(C::kStaleTaskFinished), count(C::kStaleUpdateData),
+          count(C::kStaleHeartbeats)};
+}
+
 }  // namespace
 
 RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
@@ -749,9 +761,11 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   res.pfs_bytes_read = w.pfs.bytes_read();
   // Every shard runs lineage recovery over its own records: the totals
   // are field-wise sums, with the per-shard breakdown kept for reporting.
-  res.recovery = sched.recovery();
+  res.recovery =
+      recovery_totals([&](dts::SchedCounter c) { return sched.sum(c); });
   for (int s = 0; s < sched.num_shards(); ++s)
-    res.shard_recovery.push_back(sched.shard(s).recovery());
+    res.shard_recovery.push_back(recovery_totals(
+        [&](dts::SchedCounter c) { return sched.shard(s).counters()[c]; }));
   res.workers_killed = w.injector ? w.injector->kills_performed() : 0;
   // Threaded backend: fold the executor's contention counters (strand
   // queue depths, post->run latency) into the run's metrics.

@@ -5,7 +5,6 @@
 // mechanism behind the post-hoc write collapse in the paper's Figure 3a.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -13,6 +12,7 @@
 #include <string>
 
 #include "deisa/exec/primitives.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace deisa::io {
@@ -34,6 +34,25 @@ struct PfsParams {
   std::uint64_t seed = 0x9f5;
 };
 
+/// The PFS's counters (its obs::CounterBlock).
+enum class PfsCounter : std::uint8_t {
+  kOps,  // operations started
+  kBytesWritten,
+  kBytesRead,
+  kCount,
+};
+
+inline const char* metric_name(PfsCounter c) {
+  using enum PfsCounter;
+  switch (c) {
+    case kOps: return "pfs.ops";
+    case kBytesWritten: return "pfs.bytes_written";
+    case kBytesRead: return "pfs.bytes_read";
+    case kCount: break;
+  }
+  return "?";
+}
+
 class Pfs {
 public:
   Pfs(exec::Executor& ex, PfsParams params);
@@ -46,9 +65,11 @@ public:
   /// Read `bytes` from `path`.
   exec::Co<void> read(const std::string& path, std::uint64_t bytes);
 
-  std::uint64_t bytes_written() const { return bytes_written_.load(); }
-  std::uint64_t bytes_read() const { return bytes_read_.load(); }
-  std::uint64_t ops() const { return ops_.load(); }
+  std::uint64_t bytes_written() const {
+    return counters_[PfsCounter::kBytesWritten];
+  }
+  std::uint64_t bytes_read() const { return counters_[PfsCounter::kBytesRead]; }
+  std::uint64_t ops() const { return counters_[PfsCounter::kOps]; }
 
 private:
   exec::Co<void> io_op(const char* op, std::uint64_t bytes,
@@ -63,9 +84,7 @@ private:
   std::mutex mu_;
   std::set<std::string> created_;
   util::Rng rng_;
-  std::atomic<std::uint64_t> bytes_written_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
-  std::atomic<std::uint64_t> ops_{0};
+  obs::CounterBlock<PfsCounter> counters_;
 };
 
 }  // namespace deisa::io

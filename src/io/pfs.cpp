@@ -1,6 +1,5 @@
 #include "deisa/io/pfs.hpp"
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::io {
@@ -21,7 +20,7 @@ double Pfs::jitter() {
 
 exec::Co<void> Pfs::io_op(const char* op, std::uint64_t bytes,
                          double extra_latency) {
-  ++ops_;
+  counters_.add(PfsCounter::kOps);
   const double start = engine_->now();
   obs::Span span = obs::trace_span("pfs", "streams", op);
   if (span.active()) span.add_arg(obs::arg("bytes", bytes));
@@ -33,10 +32,8 @@ exec::Co<void> Pfs::io_op(const char* op, std::uint64_t bytes,
   co_await engine_->delay(duration);
   streams_.release();
   span.finish();
-  if (auto* m = obs::metrics()) {
-    m->counter("pfs.ops").add();
+  if (auto* m = obs::metrics())
     m->histogram("pfs.op_seconds").observe(engine_->now() - start);
-  }
 }
 
 exec::Co<void> Pfs::write(const std::string& path, std::uint64_t bytes) {
@@ -45,14 +42,12 @@ exec::Co<void> Pfs::write(const std::string& path, std::uint64_t bytes) {
     std::lock_guard lk(mu_);
     if (created_.insert(path).second) extra = params_.file_create_cost;
   }
-  bytes_written_ += bytes;
-  obs::count("pfs.bytes_written", bytes);
+  counters_.add(PfsCounter::kBytesWritten, bytes);
   co_await io_op("write", bytes, extra);
 }
 
 exec::Co<void> Pfs::read(const std::string& /*path*/, std::uint64_t bytes) {
-  bytes_read_ += bytes;
-  obs::count("pfs.bytes_read", bytes);
+  counters_.add(PfsCounter::kBytesRead, bytes);
   co_await io_op("read", bytes, 0.0);
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::net {
@@ -69,8 +68,8 @@ double Cluster::ideal_duration(int src, int dst, std::uint64_t bytes) const {
 sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
   DEISA_CHECK(dst >= 0 && dst < params_.physical_nodes,
               "dst node " << dst << " out of range");
-  ++stats_.count;
-  stats_.bytes += bytes;
+  counters_.add(exec::TransportCounter::kTransfers);
+  counters_.add(exec::TransportCounter::kBytes, bytes);
   const double start = engine_->now();
   obs::Span span;
   if (obs::tracer() != nullptr) {
@@ -78,10 +77,6 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
         "net", "transfer",
         "n" + std::to_string(src) + "->n" + std::to_string(dst));
     span.add_arg(obs::arg("bytes", bytes));
-  }
-  if (auto* m = obs::metrics()) {
-    m->counter("net.transfers").add();
-    m->counter("net.bytes").add(bytes);
   }
   struct TransferDone {
     sim::Engine* engine;
@@ -96,10 +91,9 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
     const FaultDecision fd = fault_hook_(src, dst, bytes, Delivery::kBulk);
     if (fd.extra_delay > 0.0) {
       lat += fd.extra_delay;
-      if (auto* m = obs::metrics()) {
-        m->counter("net.faults.delayed").add();
+      counters_.add(exec::TransportCounter::kFaultsDelayed);
+      if (auto* m = obs::metrics())
         m->histogram("net.faults.delay_seconds").observe(fd.extra_delay);
-      }
     }
   }
   if (src == dst) {
@@ -136,12 +130,8 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
 sim::Co<SendResult> Cluster::send_control(int src, int dst,
                                           std::uint64_t bytes,
                                           Delivery delivery) {
-  ++stats_.count;
-  stats_.bytes += bytes;
-  if (auto* m = obs::metrics()) {
-    m->counter("net.control_messages").add();
-    m->counter("net.bytes").add(bytes);
-  }
+  counters_.add(exec::TransportCounter::kControlMessages);
+  counters_.add(exec::TransportCounter::kBytes, bytes);
   SendResult result;
   double extra = 0.0;
   if (fault_hook_ && delivery != Delivery::kReliable) {
@@ -153,10 +143,10 @@ sim::Co<SendResult> Cluster::send_control(int src, int dst,
     if (fd.drop && may_drop) {
       result.delivered = false;
       result.copies = 0;
-      obs::count("net.faults.dropped");
+      counters_.add(exec::TransportCounter::kFaultsDropped);
     } else if (fd.duplicate && may_dup) {
       result.copies = 2;
-      obs::count("net.faults.duplicated");
+      counters_.add(exec::TransportCounter::kFaultsDuplicated);
     }
     extra = fd.extra_delay;
   }

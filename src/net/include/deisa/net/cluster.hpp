@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "deisa/exec/transport.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/sim/engine.hpp"
 #include "deisa/sim/primitives.hpp"
 #include "deisa/util/rng.hpp"
@@ -103,7 +104,11 @@ public:
   /// Bulk-transfer bandwidth between two nodes (software cap applied).
   double effective_bandwidth(int src, int dst) const;
 
-  TransferStats stats() const override { return stats_; }
+  TransferStats stats() const override {
+    using C = exec::TransportCounter;
+    return {counters_[C::kTransfers] + counters_[C::kControlMessages],
+            counters_[C::kBytes]};
+  }
 
 private:
   double base_latency(int src, int dst) const;
@@ -118,7 +123,7 @@ private:
   // One uplink pool per leaf switch (for flows leaving that leaf).
   std::vector<std::unique_ptr<sim::Semaphore>> uplinks_;
   util::Rng rng_;
-  TransferStats stats_;
+  obs::CounterBlock<exec::TransportCounter> counters_;
   FaultHook fault_hook_;
 };
 

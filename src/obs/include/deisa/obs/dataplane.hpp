@@ -3,7 +3,8 @@
 // pushed through the transport, materialized for a local dependency
 // read, or cached on a fetching worker) or `bytes_referenced` (a
 // pass-by-reference hand-off — proxy token passes, depot aliases,
-// zero-copy same-node dereferences).
+// zero-copy same-node dereferences). Clients and workers count both in
+// their counter blocks under these names.
 //
 // The split is what the fig3 A/B measures: the copy plane charges every
 // scatter push and every dependency materialization as moved; the proxy
@@ -12,20 +13,11 @@
 // alongside; this pair is the ownership-model view.
 #pragma once
 
-#include <cstdint>
-
-#include "deisa/obs/metrics.hpp"
-
 namespace deisa::obs {
 
 /// Payload bytes physically duplicated for a consumer.
 inline constexpr const char* kBytesMoved = "dataplane.bytes_moved";
 /// Payload bytes handed over by reference (no duplication).
 inline constexpr const char* kBytesReferenced = "dataplane.bytes_referenced";
-
-inline void count_moved(std::uint64_t bytes) { count(kBytesMoved, bytes); }
-inline void count_referenced(std::uint64_t bytes) {
-  count(kBytesReferenced, bytes);
-}
 
 }  // namespace deisa::obs

@@ -1,23 +1,33 @@
-// Metrics registry: named counters, gauges and histograms with a
-// snapshot() API, used by the scheduler/worker/bridge/PFS/net
-// instrumentation and read back by the figure benches (fig_msgcount
-// asserts the paper's message formulas from these counters instead of
-// bespoke per-class fields).
+// Metrics: per-actor counter blocks plus a registry of named gauges and
+// histograms, read back together by MetricsRegistry::snapshot() (the
+// figure benches and fig_msgcount's message formulas read the result).
 //
-// Histograms reuse util::RunningStats for streaming moments and keep a
-// bounded sample buffer for percentile export (memory stays bounded on
-// arbitrarily long runs; beyond the cap only the moments keep updating).
+// Blocks: every counting actor (scheduler shard, worker, client, bridge,
+// adaptor, transport, PFS, fault injector) owns one CounterBlock<E>, an
+// array of relaxed atomics indexed by its counter enum E; a total
+// metric_name(E) switch names each entry. Counting is one atomic add at
+// a fixed index (no name string, no lock, no "metrics on?" check), and
+// the actor's accessors read the same block: each fact is counted once.
 //
-// Like the trace recorder, sites reach the registry through
-// MetricsRegistry::current() — a null check when observability is off.
+// Live list and snapshot: a block links itself into a process-wide list
+// on construction and unlinks on destruction, under one mutex (cold).
+// snapshot() pulls every live block's non-zero entries, summed by name
+// (four shards' "scheduler.messages.total" report one total). So blocks
+// count with or without a registry installed, the registry may be
+// installed after the world is built, and a snapshot sees the actors
+// alive when it is taken: take it before the world is torn down.
 //
-// Thread-safe: counters and gauges are atomics, histograms take a
-// per-histogram mutex, and the registry's name lookups are serialized
-// (std::map keeps references stable, so the returned instruments stay
-// valid while other threads insert).
+// Gauges and histograms stay registry-owned and named, reached through
+// MetricsRegistry::current() (a null check when metrics are off).
+// Histograms keep util::RunningStats moments plus a bounded sample
+// buffer for percentiles. Thread-safe: counters and gauges are atomics,
+// histograms take their own mutex, the registry serializes name lookups
+// (std::map keeps references stable), and the live list has its mutex.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -37,6 +47,51 @@ public:
 
 private:
   std::atomic<std::uint64_t> value_{0};
+};
+
+/// Links one counter array into the live list snapshot() reads. A
+/// CounterBlock declares it after its array, so it links once the
+/// counters exist and unlinks before they die.
+class LiveCounters {
+public:
+  /// Snapshot name of entry `index` (called only while snapshotting).
+  using NameFn = std::string (*)(std::size_t index);
+
+  LiveCounters(const Counter* counters, std::size_t size, NameFn name);
+  ~LiveCounters();
+  LiveCounters(const LiveCounters&) = delete;
+  LiveCounters& operator=(const LiveCounters&) = delete;
+
+  /// Add every live array's non-zero entries into `out`, by name.
+  static void collect(std::map<std::string, std::uint64_t>& out);
+
+private:
+  const Counter* counters_;
+  std::size_t size_;
+  NameFn name_;
+  LiveCounters* prev_ = nullptr;  // intrusive list links
+  LiveCounters* next_ = nullptr;
+};
+
+/// One actor's counters: a Counter per value of the enum E, which ends
+/// with a kCount sentinel and may reserve index ranges (the scheduler's
+/// per-kind arrivals). metric_name(E) is found by argument-dependent
+/// lookup, so it is declared next to E.
+template <class E>
+class CounterBlock {
+public:
+  void add(E e, std::uint64_t n = 1) { counters_[index(e)].add(n); }
+  std::uint64_t operator[](E e) const { return counters_[index(e)].value(); }
+
+private:
+  static constexpr std::size_t kSize = static_cast<std::size_t>(E::kCount);
+  static std::size_t index(E e) { return static_cast<std::size_t>(e); }
+  static std::string name(std::size_t i) {
+    return metric_name(static_cast<E>(i));
+  }
+
+  std::array<Counter, kSize> counters_{};
+  LiveCounters live_{counters_.data(), kSize, &name};
 };
 
 class Gauge {
@@ -118,8 +173,8 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
 public:
-  /// The process-wide registry instrumentation writes to; nullptr (the
-  /// default) disables metrics everywhere.
+  /// The process-wide registry gauge and histogram sites write to;
+  /// nullptr (the default) disables them. Counter blocks count regardless.
   static MetricsRegistry* current() {
     return current_.load(std::memory_order_acquire);
   }
@@ -127,10 +182,6 @@ public:
     current_.store(registry, std::memory_order_release);
   }
 
-  Counter& counter(const std::string& name) {
-    std::lock_guard lk(mu_);
-    return counters_[name];
-  }
   Gauge& gauge(const std::string& name) {
     std::lock_guard lk(mu_);
     return gauges_[name];
@@ -140,27 +191,24 @@ public:
     return histograms_[name];
   }
 
+  /// Every live counter block's non-zero entries (summed by name), the
+  /// installed trace recorder's overflow as trace.dropped_events, and
+  /// this registry's gauges and histograms.
   MetricsSnapshot snapshot() const;
-  void clear();
 
 private:
   /// Guards the name->instrument maps (not the instruments themselves,
   /// which synchronize their own mutation).
   mutable std::mutex mu_;
   // std::map: deterministic dump order, stable references on insert.
-  std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 
   static std::atomic<MetricsRegistry*> current_;
 };
 
-/// The installed registry, or nullptr when metrics are disabled.
+/// The installed registry, or nullptr when gauges/histograms are off.
 inline MetricsRegistry* metrics() { return MetricsRegistry::current(); }
-
-inline void count(const std::string& name, std::uint64_t n = 1) {
-  if (MetricsRegistry* m = MetricsRegistry::current()) m->counter(name).add(n);
-}
 
 inline void gauge_set(const std::string& name, double value) {
   if (MetricsRegistry* m = MetricsRegistry::current()) m->gauge(name).set(value);

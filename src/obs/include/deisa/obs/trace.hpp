@@ -189,7 +189,8 @@ public:
     return ring_.size();
   }
   /// Events evicted (kOldest) or discarded on arrival (kNewest) because
-  /// the ring was full.
+  /// the ring was full. A registry snapshot taken while this recorder is
+  /// installed reports it as the trace.dropped_events counter.
   std::uint64_t dropped() const {
     std::lock_guard lk(mu_);
     return dropped_;

@@ -15,12 +15,12 @@ void DataStore::add_plugin(std::shared_ptr<Plugin> plugin) {
   plugins_.push_back(std::move(plugin));
 }
 
-exec::Co<void> DataStore::expose(const std::string& name,
+exec::Co<void> DataStore::expose(std::string name,
                                 const array::NDArray& data) {
   for (const auto& p : plugins_) co_await p->on_data(*this, name, data);
 }
 
-exec::Co<void> DataStore::event(const std::string& name) {
+exec::Co<void> DataStore::event(std::string name) {
   for (const auto& p : plugins_) co_await p->on_event(*this, name);
 }
 

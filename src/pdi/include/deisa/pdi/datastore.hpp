@@ -43,10 +43,12 @@ public:
   void add_plugin(std::shared_ptr<Plugin> plugin);
 
   /// Expose a named buffer to the plugins (no copy: the reference is only
-  /// valid for the duration of the call, as in PDI's share/reclaim).
-  exec::Co<void> expose(const std::string& name, const array::NDArray& data);
+  /// valid for the duration of the call, as in PDI's share/reclaim). The
+  /// name is taken by value: the coroutine frame must own it, since a
+  /// spawned call runs after a temporary argument has died.
+  exec::Co<void> expose(std::string name, const array::NDArray& data);
   /// Raise a named event.
-  exec::Co<void> event(const std::string& name);
+  exec::Co<void> event(std::string name);
 
 private:
   config::Node spec_;

@@ -14,13 +14,13 @@
 // fault-aware senders behave identically on either backend.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "deisa/exec/transport.hpp"
+#include "deisa/obs/metrics.hpp"
 
 namespace deisa::rt {
 
@@ -55,21 +55,9 @@ public:
   }
 
   exec::TransferStats stats() const override {
-    return exec::TransferStats{count_.load(std::memory_order_relaxed),
-                               bytes_.load(std::memory_order_relaxed)};
-  }
-
-  /// NIC lock contention: how many transfers waited for the egress +
-  /// ingress locks, and the total wall seconds spent waiting. Also
-  /// exported live as the rt.nic.lock_wait_s histogram when metrics are
-  /// installed.
-  std::uint64_t nic_lock_waits() const {
-    return nic_lock_waits_.load(std::memory_order_relaxed);
-  }
-  double nic_lock_wait_seconds() const {
-    return static_cast<double>(
-               nic_lock_wait_ns_.load(std::memory_order_relaxed)) /
-           1e9;
+    using C = exec::TransportCounter;
+    return {counters_[C::kTransfers] + counters_[C::kControlMessages],
+            counters_[C::kBytes]};
   }
 
 private:
@@ -85,10 +73,7 @@ private:
   ThreadedTransportParams params_;
   std::vector<std::unique_ptr<Nic>> egress_;
   std::vector<std::unique_ptr<Nic>> ingress_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> nic_lock_waits_{0};
-  std::atomic<std::uint64_t> nic_lock_wait_ns_{0};
+  obs::CounterBlock<exec::TransportCounter> counters_;
   mutable std::mutex hook_mu_;
   exec::FaultHook fault_hook_;
 };

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "deisa/obs/metrics.hpp"
-
 namespace deisa::rt {
 
 ThreadedTransport::ThreadedTransport(exec::Executor& ex,
@@ -42,12 +40,8 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
               "src node " << src << " out of range");
   DEISA_CHECK(dst >= 0 && dst < params_.nodes,
               "dst node " << dst << " out of range");
-  count_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* m = obs::metrics()) {
-    m->counter("net.transfers").add();
-    m->counter("net.bytes").add(bytes);
-  }
+  counters_.add(exec::TransportCounter::kTransfers);
+  counters_.add(exec::TransportCounter::kBytes, bytes);
   const exec::FaultDecision fd =
       consult_hook(src, dst, bytes, exec::Delivery::kBulk);
   if (fd.extra_delay > 0.0) co_await ex_->delay(fd.extra_delay);
@@ -55,7 +49,7 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
     // Same-node hand-off: the payload already lives in this address
     // space, so there is no NIC to contend for and nothing to copy
     // through scratch (proxy-plane zero-copy dereferences land here).
-    obs::count("rt.nic.local_bypass");
+    counters_.add(exec::TransportCounter::kLocalBypass);
     co_return;
   }
   {
@@ -70,10 +64,6 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       lock_t0)
             .count();
-    nic_lock_waits_.fetch_add(1, std::memory_order_relaxed);
-    nic_lock_wait_ns_.fetch_add(
-        static_cast<std::uint64_t>(lock_wait_s * 1e9),
-        std::memory_order_relaxed);
     if (auto* m = obs::metrics())
       m->histogram("rt.nic.lock_wait_s").observe(lock_wait_s);
     const std::size_t want = static_cast<std::size_t>(
@@ -93,12 +83,8 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
 
 exec::Co<exec::SendResult> ThreadedTransport::send_control(
     int src, int dst, std::uint64_t bytes, exec::Delivery delivery) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* m = obs::metrics()) {
-    m->counter("net.control_messages").add();
-    m->counter("net.bytes").add(bytes);
-  }
+  counters_.add(exec::TransportCounter::kControlMessages);
+  counters_.add(exec::TransportCounter::kBytes, bytes);
   exec::SendResult result;
   double extra = 0.0;
   if (delivery != exec::Delivery::kReliable) {
@@ -110,10 +96,10 @@ exec::Co<exec::SendResult> ThreadedTransport::send_control(
     if (fd.drop && may_drop) {
       result.delivered = false;
       result.copies = 0;
-      obs::count("net.faults.dropped");
+      counters_.add(exec::TransportCounter::kFaultsDropped);
     } else if (fd.duplicate && may_dup) {
       result.copies = 2;
-      obs::count("net.faults.duplicated");
+      counters_.add(exec::TransportCounter::kFaultsDuplicated);
     }
     extra = fd.extra_delay;
   }

@@ -193,8 +193,9 @@ TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   // the "external" lane covering [creation, scatter] with to=memory, one
   // lifecycle instant for the transition — and nothing else for this key.
   int created = 0, external_spans = 0, lifecycle_transitions = 0;
+  const auto tracks = recorder.tracks();
   recorder.for_each([&](const deisa::obs::TraceEvent& ev) {
-    const auto& track = recorder.tracks()[ev.track];
+    const auto& track = tracks[ev.track];
     if (track.actor != "scheduler") return;
     if (ev.name == "create:ext") {
       ++created;
@@ -463,11 +464,12 @@ TEST(Dts, ConcurrentTasksSharingRemoteDepFetchOnce) {
   // the second task joins the first fetch instead of issuing its own.
   TestCluster tc(2);
   tc.run(shared_dep_flow(tc));
-  const auto& w1 = tc.rt->worker(1);
-  EXPECT_EQ(w1.peer_fetches(), 1u);
-  EXPECT_EQ(w1.peer_fetches_shared(), 1u);
-  EXPECT_EQ(w1.peer_fetch_cache_hits(), 0u);
-  EXPECT_EQ(tc.rt->worker(0).peer_fetches(), 0u);
+  using C = dts::WorkerCounter;
+  const auto& w1 = tc.rt->worker(1).counters();
+  EXPECT_EQ(w1[C::kPeerFetches], 1u);
+  EXPECT_EQ(w1[C::kPeerFetchShared], 1u);
+  EXPECT_EQ(w1[C::kPeerFetchCacheHits], 0u);
+  EXPECT_EQ(tc.rt->worker(0).counters()[C::kPeerFetches], 0u);
 }
 
 sim::Co<void> cached_dep_flow(TestCluster& tc) {
@@ -491,10 +493,11 @@ sim::Co<void> cached_dep_flow(TestCluster& tc) {
 TEST(Dts, FetchedDepCachedForLaterTasks) {
   TestCluster tc(2);
   tc.run(cached_dep_flow(tc));
-  const auto& w1 = tc.rt->worker(1);
-  EXPECT_EQ(w1.peer_fetches(), 1u);
-  EXPECT_EQ(w1.peer_fetches_shared(), 0u);
-  EXPECT_EQ(w1.peer_fetch_cache_hits(), 1u);
+  using C = dts::WorkerCounter;
+  const auto& w1 = tc.rt->worker(1).counters();
+  EXPECT_EQ(w1[C::kPeerFetches], 1u);
+  EXPECT_EQ(w1[C::kPeerFetchShared], 0u);
+  EXPECT_EQ(w1[C::kPeerFetchCacheHits], 1u);
 }
 
 sim::Co<void> scatter_batch_flow(TestCluster& tc, std::vector<int>& acks) {
@@ -622,10 +625,11 @@ TEST(Dts, ReleaseConsumedFreesConsumedKeys) {
   EXPECT_TRUE(tc.rt->scheduler().is_released("a"));
   EXPECT_EQ(tc.rt->scheduler().pending_consumers("a"), 0);
   EXPECT_FALSE(tc.rt->scheduler().is_released("b"));
-  EXPECT_EQ(tc.rt->scheduler().keys_released(), 1u);
+  EXPECT_EQ(tc.rt->sharded().keys_released(), 1u);
   EXPECT_FALSE(tc.rt->worker(0).has_local("a"));
-  EXPECT_EQ(tc.rt->worker(0).keys_released() +
-                tc.rt->worker(1).keys_released(),
+  using C = dts::WorkerCounter;
+  EXPECT_EQ(tc.rt->worker(0).counters()[C::kKeysReleased] +
+                tc.rt->worker(1).counters()[C::kKeysReleased],
             1u);
 }
 

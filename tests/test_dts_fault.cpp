@@ -82,7 +82,7 @@ TEST(Fault, RetriesRecoverTransientFailures) {
   tc.eng.run();
   EXPECT_FALSE(threw);
   EXPECT_EQ(result, 7);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 2u);
+  EXPECT_EQ(tc.rt->scheduler().counters()[dts::SchedCounter::kRetries], 2u);
   EXPECT_EQ(tc.rt->scheduler().state_of("flaky"), dts::TaskState::kMemory);
 }
 
@@ -93,7 +93,7 @@ TEST(Fault, RetriesExhaustedStillErrs) {
   tc.eng.spawn(flaky_flow(tc, /*fails=*/5, /*retries=*/2, result, threw));
   tc.eng.run();
   EXPECT_TRUE(threw);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 2u);
+  EXPECT_EQ(tc.rt->scheduler().counters()[dts::SchedCounter::kRetries], 2u);
   EXPECT_EQ(tc.rt->scheduler().state_of("flaky"), dts::TaskState::kErred);
 }
 
@@ -104,7 +104,7 @@ TEST(Fault, ZeroRetriesFailImmediately) {
   tc.eng.spawn(flaky_flow(tc, /*fails=*/1, /*retries=*/0, result, threw));
   tc.eng.run();
   EXPECT_TRUE(threw);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 0u);
+  EXPECT_EQ(tc.rt->scheduler().counters()[dts::SchedCounter::kRetries], 0u);
 }
 
 sim::Co<void> cancel_external_flow(TestCluster& tc, std::string& error) {
@@ -183,7 +183,8 @@ TEST(Fault, CancelThenLateCompletionStaysErred) {
   tc.eng.spawn(cancel_late_finish_flow(tc));
   tc.eng.run();
   EXPECT_EQ(tc.rt->scheduler().state_of("slow"), dts::TaskState::kErred);
-  EXPECT_EQ(tc.rt->scheduler().recovery().stale_task_finished, 1u);
+  EXPECT_EQ(
+      tc.rt->scheduler().counters()[dts::SchedCounter::kStaleTaskFinished], 1u);
 }
 
 sim::Co<void> cancel_external_push_flow(TestCluster& tc, int& ack) {
@@ -206,7 +207,8 @@ TEST(Fault, CancelExternalThenBridgePushIsDiscarded) {
   tc.eng.run();
   EXPECT_EQ(ack, dts::kAckDiscarded);
   EXPECT_EQ(tc.rt->scheduler().state_of("ext"), dts::TaskState::kErred);
-  EXPECT_EQ(tc.rt->scheduler().recovery().stale_update_data, 1u);
+  EXPECT_EQ(
+      tc.rt->scheduler().counters()[dts::SchedCounter::kStaleUpdateData], 1u);
 }
 
 sim::Co<void> poisoned_waiter_flow(TestCluster& tc, std::string& error,
@@ -258,7 +260,7 @@ TEST(Fault, HeartbeatLossDetectsDeadWorker) {
   EXPECT_TRUE(s.worker_is_dead(0));
   EXPECT_FALSE(s.worker_is_dead(1));
   EXPECT_EQ(s.live_workers(), 1u);
-  EXPECT_EQ(s.recovery().workers_lost, 1u);
+  EXPECT_EQ(s.counters()[dts::SchedCounter::kWorkersLost], 1u);
 }
 
 sim::Co<void> lost_key_flow(TestCluster& tc, int& result) {
@@ -286,8 +288,9 @@ TEST(Fault, LostKeysRecomputedViaLineage) {
   tc.eng.run();
   const dts::Scheduler& s = tc.rt->scheduler();
   EXPECT_EQ(result, 42);  // recomputed from lineage, same value
-  EXPECT_EQ(s.recovery().workers_lost, 1u);
-  EXPECT_EQ(s.recovery().keys_recomputed, 2u);  // both a and b lived on w0
+  EXPECT_EQ(s.counters()[dts::SchedCounter::kWorkersLost], 1u);
+  // Both a and b lived on w0.
+  EXPECT_EQ(s.counters()[dts::SchedCounter::kKeysRecomputed], 2u);
   EXPECT_EQ(s.state_of("a"), dts::TaskState::kMemory);
   EXPECT_EQ(s.state_of("b"), dts::TaskState::kMemory);
   EXPECT_GT(tc.rt->worker(1).tasks_executed(), 0u);
@@ -327,7 +330,7 @@ TEST(Fault, LostExternalKeyRearmedAndRepushed) {
   EXPECT_EQ(assignments[0].second, 1);  // re-routed to the survivor
   EXPECT_EQ(value, 9);
   const dts::Scheduler& s = tc.rt->scheduler();
-  EXPECT_EQ(s.recovery().external_rearmed, 1u);
+  EXPECT_EQ(s.counters()[dts::SchedCounter::kExternalRearmed], 1u);
   EXPECT_EQ(s.state_of("blk"), dts::TaskState::kMemory);
 }
 
@@ -356,7 +359,7 @@ TEST(Fault, UnreplayedExternalKeyExpiresInsteadOfHanging) {
   tc.eng.run();
   EXPECT_NE(error.find("gone"), std::string::npos);
   const dts::Scheduler& s = tc.rt->scheduler();
-  EXPECT_EQ(s.recovery().repush_expired, 1u);
+  EXPECT_EQ(s.counters()[dts::SchedCounter::kRepushExpired], 1u);
   EXPECT_EQ(s.state_of("gone"), dts::TaskState::kErred);
 }
 
@@ -386,7 +389,7 @@ TEST(Fault, DuplicatedTaskFinishedIsDropped) {
   EXPECT_EQ(result, 6);
   const dts::Scheduler& s = tc.rt->scheduler();
   EXPECT_EQ(s.state_of("t"), dts::TaskState::kMemory);
-  EXPECT_GE(s.recovery().stale_task_finished, 1u);
+  EXPECT_GE(s.counters()[dts::SchedCounter::kStaleTaskFinished], 1u);
 }
 
 sim::Co<void> memory_flow(TestCluster& tc) {

@@ -39,12 +39,16 @@ using deisa::util::Rng;
 
 namespace {
 
+/// Node values: sums of up to eight dependencies grow geometrically, so
+/// they wrap modulo 2^64 — identically in the oracle and in the tasks.
+using Value = std::uint64_t;
+
 struct RandomDag {
   struct Node {
     dts::Key key;
     std::vector<std::size_t> deps;  // indices of earlier nodes
     bool external = false;          // leaf completed by "the simulation"
-    std::int64_t leaf_value = 0;
+    Value leaf_value = 0;
   };
   std::vector<Node> nodes;
 };
@@ -63,17 +67,17 @@ RandomDag make_dag(std::size_t n, double edge_prob, double external_frac,
     }
     if (node.deps.empty()) {
       node.external = rng.uniform() < external_frac;
-      node.leaf_value = static_cast<std::int64_t>(rng.uniform_index(100));
+      node.leaf_value = static_cast<Value>(rng.uniform_index(100));
     }
     dag.nodes.push_back(std::move(node));
   }
   return dag;
 }
 
-std::vector<std::int64_t> evaluate_sequentially(const RandomDag& dag) {
-  std::vector<std::int64_t> value(dag.nodes.size(), 0);
+std::vector<Value> evaluate_sequentially(const RandomDag& dag) {
+  std::vector<Value> value(dag.nodes.size(), 0);
   for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
-    std::int64_t v = dag.nodes[i].leaf_value + static_cast<std::int64_t>(i);
+    Value v = dag.nodes[i].leaf_value + static_cast<Value>(i);
     for (std::size_t d : dag.nodes[i].deps) v += value[d];
     value[i] = v;
   }
@@ -82,7 +86,7 @@ std::vector<std::int64_t> evaluate_sequentially(const RandomDag& dag) {
 
 sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
                       const RandomDag& dag,
-                      std::vector<std::int64_t>& results) {
+                      std::vector<Value>& results) {
   // External leaves first (futures created before the graph).
   std::vector<dts::Key> ext_keys;
   std::vector<int> ext_workers;
@@ -102,12 +106,12 @@ sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
     if (node.external) continue;
     std::vector<dts::Key> deps;
     for (std::size_t d : node.deps) deps.push_back(dag.nodes[d].key);
-    const std::int64_t base = node.leaf_value + static_cast<std::int64_t>(i);
+    const Value base = node.leaf_value + static_cast<Value>(i);
     tasks.emplace_back(node.key, std::move(deps),
                        [base](const std::vector<dts::Data>& in) {
-                         std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
-                         return dts::Data::make<std::int64_t>(v, 8);
+                         Value v = base;
+                         for (const auto& d : in) v += d.as<Value>();
+                         return dts::Data::make<Value>(v, 8);
                        });
     wants.push_back(node.key);
   }
@@ -121,9 +125,8 @@ sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
     std::size_t node_i = 0;
     for (std::size_t k = 0; k < dag.nodes.size(); ++k)
       if (dag.nodes[k].key == node_key) node_i = k;
-    const std::int64_t v =
-        dag.nodes[node_i].leaf_value + static_cast<std::int64_t>(node_i);
-    co_await client.scatter(node_key, dts::Data::make<std::int64_t>(v, 8),
+    const Value v = dag.nodes[node_i].leaf_value + static_cast<Value>(node_i);
+    co_await client.scatter(node_key, dts::Data::make<Value>(v, 8),
                             ext_workers[i], /*external=*/true);
     ++idx;
   }
@@ -131,7 +134,7 @@ sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
 
   results.resize(dag.nodes.size());
   for (std::size_t i = 0; i < dag.nodes.size(); ++i)
-    results[i] = (co_await client.gather(dag.nodes[i].key)).as<std::int64_t>();
+    results[i] = (co_await client.gather(dag.nodes[i].key)).as<Value>();
   co_await rt.shutdown();
 }
 
@@ -158,7 +161,7 @@ TEST_P(DagProperty, DistributedMatchesSequentialEvaluation) {
   rt.start();
   dts::Client& client = rt.make_client(1);
 
-  std::vector<std::int64_t> results;
+  std::vector<Value> results;
   eng.spawn(run_dag(rt, client, dag, results));
   eng.run();
 
@@ -241,7 +244,7 @@ struct PlaneCluster {
 exec::Co<void> run_dag_plane(dts::Runtime& runtime, dts::Client& client,
                              const RandomDag& dag, const PlaneCase& c,
                              const std::vector<bool>& has_consumer,
-                             std::map<std::size_t, std::int64_t>& results) {
+                             std::map<std::size_t, Value>& results) {
   std::vector<dts::Key> ext_keys;
   std::vector<int> ext_workers;
   for (const auto& node : dag.nodes)
@@ -261,12 +264,12 @@ exec::Co<void> run_dag_plane(dts::Runtime& runtime, dts::Client& client,
     if (node.external) continue;
     std::vector<dts::Key> deps;
     for (std::size_t d : node.deps) deps.push_back(dag.nodes[d].key);
-    const std::int64_t base = node.leaf_value + static_cast<std::int64_t>(i);
+    const Value base = node.leaf_value + static_cast<Value>(i);
     tasks.emplace_back(node.key, std::move(deps),
                        [base, bytes](const std::vector<dts::Data>& in) {
-                         std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
-                         return dts::Data::make<std::int64_t>(v, bytes);
+                         Value v = base;
+                         for (const auto& d : in) v += d.as<Value>();
+                         return dts::Data::make<Value>(v, bytes);
                        });
     if (!c.gc || !has_consumer[i]) wants.push_back(node.key);
   }
@@ -277,17 +280,16 @@ exec::Co<void> run_dag_plane(dts::Runtime& runtime, dts::Client& client,
     std::size_t node_i = 0;
     for (std::size_t k = 0; k < dag.nodes.size(); ++k)
       if (dag.nodes[k].key == node_key) node_i = k;
-    const std::int64_t v =
-        dag.nodes[node_i].leaf_value + static_cast<std::int64_t>(node_i);
+    const Value v = dag.nodes[node_i].leaf_value + static_cast<Value>(node_i);
     co_await client.scatter(node_key,
-                            dts::Data::make<std::int64_t>(v, bytes),
+                            dts::Data::make<Value>(v, bytes),
                             ext_workers[i], /*external=*/true);
   }
 
   for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
     if (c.gc && has_consumer[i]) continue;  // released: must not gather
     results[i] =
-        (co_await client.gather(dag.nodes[i].key)).as<std::int64_t>();
+        (co_await client.gather(dag.nodes[i].key)).as<Value>();
   }
   co_await runtime.shutdown();
 }
@@ -304,7 +306,7 @@ TEST_P(DataPlaneProperty, PlaneAndGcAreValueTransparent) {
     for (std::size_t d : node.deps) has_consumer[d] = true;
 
   PlaneCluster pc(c);
-  std::map<std::size_t, std::int64_t> results;
+  std::map<std::size_t, Value> results;
   pc.engine().spawn(
       run_dag_plane(*pc.rt, *pc.client, dag, c, has_consumer, results));
   pc.engine().run();
@@ -336,9 +338,9 @@ TEST_P(DataPlaneProperty, PlaneAndGcAreValueTransparent) {
             << "sink/unconsumed node " << i << " must never be released";
       }
     }
-    EXPECT_EQ(sched.keys_released(), consumed);
+    EXPECT_EQ(sched.counters()[dts::SchedCounter::kKeysReleased], consumed);
   } else {
-    EXPECT_EQ(sched.keys_released(), 0u);
+    EXPECT_EQ(sched.counters()[dts::SchedCounter::kKeysReleased], 0u);
     for (std::size_t i = 0; i < dag.nodes.size(); ++i)
       EXPECT_FALSE(sched.is_released(dag.nodes[i].key));
   }
@@ -389,18 +391,18 @@ struct FaultCluster {
 /// has been quiet past the kill's detection window.
 sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
                                    double quiet_after,
-                                   std::vector<std::int64_t>& results) {
+                                   std::vector<Value>& results) {
   dts::Client& client = *fc.client;
   std::vector<dts::Key> ext_keys;
   std::vector<int> ext_workers;
-  std::map<dts::Key, std::int64_t> ext_value;
+  std::map<dts::Key, Value> ext_value;
   for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
     const auto& node = dag.nodes[i];
     if (!node.external) continue;
     ext_keys.push_back(node.key);
     ext_workers.push_back(static_cast<int>(ext_keys.size()) %
                           client.num_workers());
-    ext_value[node.key] = node.leaf_value + static_cast<std::int64_t>(i);
+    ext_value[node.key] = node.leaf_value + static_cast<Value>(i);
   }
   if (!ext_keys.empty())
     co_await client.external_futures(ext_keys, ext_workers);
@@ -412,12 +414,12 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
     if (node.external) continue;
     std::vector<dts::Key> deps;
     for (std::size_t d : node.deps) deps.push_back(dag.nodes[d].key);
-    const std::int64_t base = node.leaf_value + static_cast<std::int64_t>(i);
+    const Value base = node.leaf_value + static_cast<Value>(i);
     tasks.emplace_back(node.key, std::move(deps),
                        [base](const std::vector<dts::Data>& in) {
-                         std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
-                         return dts::Data::make<std::int64_t>(v, 8);
+                         Value v = base;
+                         for (const auto& d : in) v += d.as<Value>();
+                         return dts::Data::make<Value>(v, 8);
                        });
     wants.push_back(node.key);
   }
@@ -429,7 +431,7 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
   for (std::size_t i = ext_keys.size(); i-- > 0;) {
     co_await fc.eng.delay(0.7);
     (void)co_await client.scatter(
-        ext_keys[i], dts::Data::make<std::int64_t>(ext_value[ext_keys[i]], 8),
+        ext_keys[i], dts::Data::make<Value>(ext_value[ext_keys[i]], 8),
         ext_workers[i], /*external=*/true);
   }
   // Producer replay loop: blocks lost with a crashed worker have no
@@ -440,7 +442,7 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
     const dts::RepushList assignments = co_await client.repush_keys();
     for (const auto& [key, target] : assignments)
       (void)co_await client.scatter(
-          key, dts::Data::make<std::int64_t>(ext_value[key], 8), target,
+          key, dts::Data::make<Value>(ext_value[key], 8), target,
           /*external=*/true);
     if (assignments.empty() && fc.eng.now() > quiet_after) break;
     co_await fc.eng.delay(1.0);
@@ -448,7 +450,7 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
 
   results.resize(dag.nodes.size());
   for (std::size_t i = 0; i < dag.nodes.size(); ++i)
-    results[i] = (co_await client.gather(dag.nodes[i].key)).as<std::int64_t>();
+    results[i] = (co_await client.gather(dag.nodes[i].key)).as<Value>();
   co_await fc.rt->shutdown();
 }
 
@@ -476,12 +478,12 @@ TEST_P(DagFaultProperty, CrashRecoveryMatchesSequentialEvaluation) {
   inj.arm(*fc.rt);
 
   const double quiet_after = plan.kills[0].time + kHeartbeatTimeout + 5.0;
-  std::vector<std::int64_t> results;
+  std::vector<Value> results;
   fc.eng.spawn(run_dag_under_faults(fc, dag, quiet_after, results));
   fc.eng.run();
 
   EXPECT_EQ(inj.kills_performed(), 1u);
-  EXPECT_EQ(fc.rt->scheduler().recovery().workers_lost, 1u);
+  EXPECT_EQ(fc.rt->scheduler().counters()[dts::SchedCounter::kWorkersLost], 1u);
   ASSERT_EQ(results.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(results[i], expected[i]) << "node " << i << " seed " << seed;
