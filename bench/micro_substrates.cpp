@@ -194,10 +194,24 @@ void BM_RandomizedSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedSvd)->Arg(128)->Arg(256);
 
+// The exact right-only SVD of an IPCA update: the stacked matrix of a
+// 256-sample x 256-feature batch with two kept components is 259 x 256.
+void BM_SvdRight(benchmark::State& state) {
+  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    auto svd = la::svd_right(a);
+    benchmark::DoNotOptimize(svd.s.data());
+  }
+}
+BENCHMARK(BM_SvdRight)->Args({259, 256})->Unit(benchmark::kMillisecond);
+
+// Args: samples, features. 256 x 256 is the insitu-ipca batch shape.
 void BM_IpcaPartialFit(benchmark::State& state) {
   ml::PcaOptions opts;
   opts.n_components = 4;
-  const auto x = random_matrix(static_cast<std::size_t>(state.range(0)), 64);
+  const auto x = random_matrix(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     ml::IncrementalPca ipca(opts);
     ipca.partial_fit(x);
@@ -205,7 +219,11 @@ void BM_IpcaPartialFit(benchmark::State& state) {
     benchmark::DoNotOptimize(ipca.singular_values().data());
   }
 }
-BENCHMARK(BM_IpcaPartialFit)->Arg(64)->Arg(256);
+BENCHMARK(BM_IpcaPartialFit)
+    ->Args({64, 64})
+    ->Args({256, 64})
+    ->Args({256, 256})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_YamlParseListing1(benchmark::State& state) {
   const std::string doc = R"(

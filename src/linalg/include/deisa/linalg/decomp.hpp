@@ -1,6 +1,6 @@
-// Matrix decompositions: Householder QR, one-sided Jacobi SVD, and the
-// randomized truncated SVD of Halko et al. — the `svd_solver='randomized'`
-// path the paper's Listing 2 selects for the in situ incremental PCA.
+// Matrix decompositions: Householder QR, one-sided Jacobi SVD (full, and
+// right-only for the PCA updates), and the randomized truncated SVD of
+// Halko et al.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,20 @@ struct SvdResult {
 /// Full thin SVD by one-sided Jacobi (robust, O(mn^2) per sweep).
 /// Works for any m, n (internally transposes when m < n).
 SvdResult svd(const Matrix& a);
+
+struct RightSvdResult {
+  std::vector<double> s;  // min(m, n) singular values, descending
+  Matrix v;               // n x min(m, n), right singular vectors
+};
+
+/// Exact s and V of an m x n matrix, without U: the same one-sided Jacobi
+/// as svd(), run on a matrix whose columns converge to V diag(s) — the
+/// n x n R^T of an R-only Householder QR when m > n, A^T when m <= n — so
+/// neither U nor V is accumulated. s matches svd() to rounding. When
+/// m >= n, V is square and orthogonal: columns of exactly-zero singular
+/// values are completed to an orthonormal basis. When m < n, those columns
+/// are zero, as in svd().
+RightSvdResult svd_right(const Matrix& a);
 
 /// Randomized truncated SVD: rank-k approximation with `oversample` extra
 /// probe vectors and `power_iters` subspace iterations (Halko, Martinsson,

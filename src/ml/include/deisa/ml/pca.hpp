@@ -4,6 +4,12 @@
 // sklearn update exactly: incremental mean/variance tracking, the
 // [S·V ; X_centered ; mean-correction] stacked SVD, and sign flipping for
 // deterministic component orientation.
+//
+// Both fits solve that SVD exactly with linalg::svd_right: the update reads
+// only the singular values and the right singular vectors, never U, and it
+// needs the full spectrum (all min(rows, cols) values), not a rank-k sketch,
+// because Pca's explained_variance_ratio and IncrementalPca's noise_variance
+// sum the unkept tail.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +22,10 @@ namespace deisa::ml {
 
 struct PcaOptions {
   std::size_t n_components = 2;
-  /// Use the randomized SVD solver (Listing 2: svd_solver='randomized').
+  /// Listing 2's solver label (svd_solver='randomized'). It does not change
+  /// the math: both labels run the same exact solver. Its modeled price is
+  /// AnalyticsCostModel::cost_multiplier.
   bool randomized = false;
-  std::size_t oversample = 10;
-  std::size_t power_iters = 4;
-  std::uint64_t seed = 0x9cada;
 };
 
 /// Batch PCA (requires all samples in memory — the limitation IPCA lifts).

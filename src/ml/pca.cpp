@@ -31,12 +31,20 @@ void svd_flip_v(la::Matrix& u, la::Matrix& vt) {
 
 namespace {
 
-la::SvdResult solve_svd(const la::Matrix& a, const PcaOptions& opts) {
-  if (opts.randomized &&
-      opts.n_components + opts.oversample < std::min(a.rows(), a.cols()))
-    return la::randomized_svd(a, std::min(a.rows(), a.cols()),
-                              opts.oversample, opts.power_iters, opts.seed);
-  return la::svd(a);
+/// All min(rows, cols) singular values of `a` and its sign-flipped
+/// components (rows of vt), from the exact right-only solver: the fits
+/// never read U, and they read the whole spectrum (see pca.hpp).
+struct Spectrum {
+  std::vector<double> s;
+  la::Matrix vt;
+};
+
+Spectrum solve_svd(const la::Matrix& a) {
+  la::RightSvdResult r = la::svd_right(a);
+  la::Matrix vt = r.v.transposed();
+  la::Matrix no_u;
+  svd_flip_v(no_u, vt);
+  return {std::move(r.s), std::move(vt)};
 }
 
 std::vector<double> column_means(const la::Matrix& x) {
@@ -72,11 +80,9 @@ void Pca::fit(const la::Matrix& x) {
   DEISA_CHECK(x.rows() >= 2, "PCA needs at least two samples");
   mean_ = column_means(x);
   const la::Matrix xc = center(x, mean_);
-  la::SvdResult r = solve_svd(xc, opts_);
-  la::Matrix vt = r.v.transposed();
-  svd_flip_v(r.u, vt);
+  const Spectrum r = solve_svd(xc);
   const std::size_t k = std::min(opts_.n_components, r.s.size());
-  components_ = vt.block(0, 0, k, vt.cols());
+  components_ = r.vt.block(0, 0, k, r.vt.cols());
   singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
   const double denom = static_cast<double>(x.rows() - 1);
   double total_var = 0.0;
@@ -168,12 +174,9 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
     stack = sv.vstack(xc).vstack(corr);
   }
 
-  la::SvdResult r = solve_svd(stack, opts_);
-  la::Matrix vt = r.v.transposed();
-  svd_flip_v(r.u, vt);
-
+  const Spectrum r = solve_svd(stack);
   const std::size_t k = std::min(opts_.n_components, r.s.size());
-  components_ = vt.block(0, 0, k, f);
+  components_ = r.vt.block(0, 0, k, f);
   singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
   mean_ = std::move(new_mean);
   var_ = std::move(new_var);

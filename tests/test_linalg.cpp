@@ -1,5 +1,6 @@
-// Tests for dense linear algebra: matrix ops, QR, Jacobi SVD, randomized
-// SVD. Property-style sweeps use parameterized tests over shapes/seeds.
+// Tests for dense linear algebra: matrix ops, QR, Jacobi SVD, right-only
+// SVD, randomized SVD. Property-style sweeps use parameterized tests over
+// shapes/seeds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -166,6 +167,82 @@ TEST(Svd, LowRankMatrixHasZeroTail) {
   const auto r = la::svd(a);
   EXPECT_GT(r.s[1], 1e-6);
   for (std::size_t i = 2; i < r.s.size(); ++i) EXPECT_LT(r.s[i], 1e-9);
+}
+
+// ---- right-only SVD (the PCA update's solver) ----
+
+/// A = U diag(s) V^T with random orthonormal U, V and s falling
+/// geometrically from 1 to 1e-12: a fast-decaying spectrum like the
+/// stacked matrix of an IPCA update on Heat2D slabs.
+la::Matrix graded_matrix(std::size_t m, std::size_t n, std::uint64_t seed) {
+  la::Matrix us = la::qr_thin(random_matrix(m, n, seed)).q;
+  const la::Matrix v = la::qr_thin(random_matrix(n, n, seed + 1)).q;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double sj = std::pow(10.0, -12.0 * static_cast<double>(j) /
+                                         static_cast<double>(n - 1));
+    for (double& x : us.col(j)) x *= sj;
+  }
+  return la::matmul(us, v.transposed());
+}
+
+/// svd_right agrees with svd: the same singular values within 1e-12 s0,
+/// an orthonormal V (all of it when m >= n, the columns of nonzero
+/// singular values when m < n), and, for every singular value separated
+/// from its neighbours by at least 1e-3 s0, the same V column up to sign
+/// within the perturbation bound 1e-12 s0 / gap.
+void expect_matches_svd(const la::Matrix& a) {
+  const la::SvdResult ref = la::svd(a);
+  const la::RightSvdResult r = la::svd_right(a);
+  const std::size_t n = a.cols();
+  const std::size_t k = std::min(a.rows(), n);
+  ASSERT_EQ(r.s.size(), k);
+  ASSERT_EQ(r.v.rows(), n);
+  ASSERT_EQ(r.v.cols(), k);
+  const double s0 = ref.s[0];
+  for (std::size_t j = 0; j < k; ++j)
+    EXPECT_NEAR(r.s[j], ref.s[j], 1e-12 * s0) << "singular value " << j;
+  std::size_t rank = 0;
+  while (rank < k && r.s[rank] > 0.0) ++rank;
+  const la::Matrix v = a.rows() >= n ? r.v : r.v.block(0, 0, n, rank);
+  EXPECT_LT(orthonormality_error(v), 1e-12);
+  for (std::size_t j = 0; j < k; ++j) {
+    double gap = s0;
+    if (j > 0) gap = std::min(gap, ref.s[j - 1] - ref.s[j]);
+    if (j + 1 < k) gap = std::min(gap, ref.s[j] - ref.s[j + 1]);
+    if (gap < 1e-3 * s0) continue;
+    const auto x = r.v.col(j);
+    const auto y = ref.v.col(j);
+    const double sign = la::dot(x, y) < 0.0 ? -1.0 : 1.0;
+    double diff = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      diff = std::max(diff, std::abs(x[i] - sign * y[i]));
+    EXPECT_LT(diff, 1e-12 * s0 / gap) << "column " << j;
+  }
+}
+
+TEST(SvdRight, MatchesSvdOnRandomShapes) {
+  expect_matches_svd(random_matrix(30, 8, 81));   // tall
+  expect_matches_svd(random_matrix(13, 10, 82));  // tall, stack-like
+  expect_matches_svd(random_matrix(9, 9, 83));    // square
+  expect_matches_svd(random_matrix(5, 12, 84));   // wide
+  expect_matches_svd(random_matrix(3, 40, 85));   // very wide
+  expect_matches_svd(random_matrix(7, 1, 86));    // one column
+}
+
+TEST(SvdRight, MatchesSvdOnGradedSpectrum) {
+  expect_matches_svd(graded_matrix(23, 20, 91));
+  expect_matches_svd(graded_matrix(40, 12, 92));
+  expect_matches_svd(graded_matrix(16, 16, 93));
+}
+
+TEST(SvdRight, RankDeficientKeepsOrthonormalV) {
+  const auto tall = la::matmul(random_matrix(12, 3, 101),
+                               random_matrix(8, 3, 102).transposed());
+  expect_matches_svd(tall);
+  const auto r = la::svd_right(tall);
+  for (std::size_t j = 3; j < r.s.size(); ++j)
+    EXPECT_LT(r.s[j], 1e-12 * r.s[0]);
+  expect_matches_svd(tall.transposed());  // wide, same spectrum
 }
 
 TEST(RandomizedSvd, RecoversLowRankExactly) {
