@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "deisa/dts/scheduler.hpp"
+#include "deisa/dts/shard.hpp"
 #include "deisa/dts/worker.hpp"
 
 namespace deisa::dts {
@@ -48,8 +49,15 @@ inline const char* metric_name(ClientCounter c) {
 
 class Client {
 public:
+  /// `shard_inboxes` is the scheduler-shard routing table
+  /// (ShardedScheduler::inboxes(), at least one entry). Submissions are
+  /// split per shard in one pass, with cross-shard dependency
+  /// subscriptions piggybacked on the owner's slice; keyed RPCs route to
+  /// the shard owning the key, name-keyed ops (variables/queues) to the
+  /// shard owning the name. With one shard every split is the whole
+  /// batch.
   Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
-         int scheduler_node, exec::Channel<SchedMsg>* scheduler_inbox,
+         int scheduler_node, std::vector<exec::Channel<SchedMsg>*> shard_inboxes,
          std::vector<WorkerRef> workers);
 
   int id() const { return id_; }
@@ -67,18 +75,8 @@ public:
   }
   DataPlane data_plane() const { return plane_; }
 
-  /// Scheduler-shard routing table (set by the Runtime, only at
-  /// shards > 1). Submissions are then split per-shard in one pass with
-  /// cross-shard dependency subscriptions piggybacked on the owner's
-  /// slice; keyed RPCs route to the shard owning the key, name-keyed
-  /// ops (variables/queues) to the shard owning the name. At shards == 1
-  /// the table stays empty and every code path is exactly the pre-shard
-  /// single-scheduler one.
-  void set_shards(std::vector<exec::Channel<SchedMsg>*> inboxes) {
-    shard_inboxes_ = std::move(inboxes);
-  }
-
   /// Submit a task graph; `wants` marks the keys this client will gather.
+  /// A shard whose slice is empty gets no message.
   exec::Co<void> submit(std::vector<TaskSpec> tasks,
                        std::vector<Key> wants = {});
 
@@ -102,9 +100,9 @@ public:
                        bool inform_scheduler = true, std::uint64_t cause = 0);
 
   /// Coalesced scatter: push several payloads to ONE worker as a single
-  /// bulk transfer plus a single batched registration RPC, instead of a
-  /// (transfer, kUpdateData, ack) round trip per block. Returns the
-  /// per-key acks in item order, same codes as scatter().
+  /// bulk transfer plus one batched registration RPC per owning shard,
+  /// instead of a (transfer, kUpdateData, ack) round trip per block.
+  /// Returns the per-key acks in item order, same codes as scatter().
   exec::Co<std::vector<int>> scatter_batch(
       std::vector<std::pair<Key, Data>> items, int worker,
       bool external = false, std::uint64_t cause = 0);
@@ -163,24 +161,29 @@ private:
   exec::Co<void> send_to_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable,
       int shard = 0);
-  /// Shard owning `key` (0 when unsharded).
-  int shard_of(std::string_view key) const;
-  /// N > 1 half of submit(): split the batch per-shard, wiring
-  /// cross-shard dependency subscriptions onto the owners' slices.
-  exec::Co<void> submit_sharded(std::vector<TaskSpec> tasks,
-                               std::vector<Key> wants);
-  /// N > 1 half of scatter_batch(): split the batched registration
-  /// per-shard and reassemble the acks in item order.
-  exec::Co<std::vector<int>> register_batch_sharded(SchedMsg reg);
+  int num_shards() const { return static_cast<int>(shard_inboxes_.size()); }
+  /// Shard owning `key` (0 with one shard).
+  int shard_of(std::string_view key) const { return mapper_.shard_of(key); }
+  /// One empty `kind` message per shard, each stamped with `cause`: the
+  /// per-shard split of a batched request.
+  std::vector<SchedMsg> slices(SchedMsgKind kind,
+                               std::uint64_t cause = 0) const;
+  /// Send every non-empty slice to its shard.
+  exec::Co<void> send_slices(std::vector<SchedMsg> slices);
+  /// The data half of scatter() and scatter_batch(): one kReceiveData
+  /// message carrying every item to `worker`. The copy plane moves the
+  /// summed payload as one bulk transfer; the proxy plane deposits each
+  /// payload here and sends one frame of ownership tokens.
+  exec::Co<void> push(std::vector<std::pair<Key, Data>> items, int worker,
+                      std::uint64_t cause);
 
   exec::Executor* engine_;
   exec::Transport* cluster_;
   int id_;
   int node_;
   int scheduler_node_;
-  exec::Channel<SchedMsg>* scheduler_inbox_;
-  /// Empty at shards == 1 (every branch testing it is dead then).
   std::vector<exec::Channel<SchedMsg>*> shard_inboxes_;
+  ShardMapper mapper_;
   std::vector<WorkerRef> workers_;
   std::shared_ptr<exec::Channel<int>> notify_;
   DataPlane plane_ = DataPlane::kCopy;

@@ -62,6 +62,17 @@ inline const ProxyHandle* as_proxy(const Data& d) {
   return std::any_cast<ProxyHandle>(d.value.get());
 }
 
+/// Reply of a crashed worker to kGetData, modeled as a refused
+/// connection: no payload follows, and the requester gives its attempt
+/// up (lineage recovery re-assigns it once the death is detected).
+struct PeerLost {
+  PeerLost() = default;
+};
+inline Data make_lost_data() { return Data::make(PeerLost(), 0); }
+inline bool is_lost(const Data& d) {
+  return d.value && std::any_cast<PeerLost>(d.value.get()) != nullptr;
+}
+
 /// Reference to a worker actor as seen by the scheduler/clients.
 struct WorkerRef {
   WorkerRef() = default;
@@ -229,8 +240,8 @@ std::uint64_t spec_dep_total(const SchedMsg& msg);
 /// Messages accepted by a worker inbox.
 enum class WorkerMsgKind {
   kCompute,
-  kReceiveData,       // direct push (scatter / bridge send)
-  kReceiveDataBatch,  // coalesced push: several blocks in one message
+  kReceiveData,       // direct push (scatter / bridge send): one or
+                      // more blocks in one message
   kGetData,           // peer or client fetch
   kReleaseKey,        // refcount GC: drop the stored value for `key`
   kShutdown,
@@ -247,13 +258,12 @@ struct WorkerMsg {
   TaskSpec spec;
   std::vector<DepLocation> deps;
 
-  // kReceiveData / kGetData
+  // kGetData / kReleaseKey
   Key key;
-  Data payload;
   int requester_node = -1;
   std::shared_ptr<exec::Channel<Data>> reply_data;
 
-  // kReceiveDataBatch
+  // kReceiveData
   std::vector<std::pair<Key, Data>> batch;
 };
 

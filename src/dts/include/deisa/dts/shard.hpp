@@ -16,8 +16,9 @@
 // dependency; when the key completes, the owner forwards a compact
 // kShardKeyDone{key, worker, bytes} and the mirror rides the proven
 // external→memory cascade (erred keys ride the poison cascade). At
-// N == 1 every shard branch is dead and the behavior is bit-identical
-// to the single scheduler.
+// N == 1 clients and workers route through a one-entry table, every
+// split is the whole batch, and the behavior is bit-identical to the
+// single scheduler.
 //
 // Liveness and key lifetime compose with sharding (DESIGN.md §5j):
 // heartbeats land on shard 0 — the liveness authority — which

@@ -38,7 +38,7 @@ enum class WorkerCounter : std::uint8_t {
   kBytesReleased,
   kMessagesDroppedDead,  // inbox messages swallowed after a crash
   kCrashes,
-  kPeerFetches,  // requests sent on the wire (not cache hits or joins)
+  kPeerFetches,  // fetches a peer served (not cache hits, joins or refusals)
   kPeerFetchBytes,
   kPeerFetchCachedBytes,  // kept apart from bytes_stored()
   kPeerFetchCacheHits,
@@ -89,15 +89,13 @@ public:
   exec::Channel<WorkerMsg>& inbox() { return inbox_; }
 
   /// Wire up peers and the scheduler (done once by the Runtime).
-  void attach(int scheduler_node, exec::Channel<SchedMsg>* scheduler_inbox,
+  /// `shard_inboxes` is the scheduler-shard routing table
+  /// (ShardedScheduler::inboxes(), at least one entry): task completions
+  /// go to the shard owning the key, keyless traffic (heartbeats) to
+  /// shard 0.
+  void attach(int scheduler_node,
+              std::vector<exec::Channel<SchedMsg>*> shard_inboxes,
               std::vector<WorkerRef> peers);
-
-  /// Scheduler-shard routing table (Runtime, only at shards > 1): task
-  /// completions are routed to the shard owning the key; keyless traffic
-  /// (heartbeats) keeps going to shard 0 via scheduler_inbox_.
-  void set_shards(std::vector<exec::Channel<SchedMsg>*> inboxes) {
-    shard_inboxes_ = std::move(inboxes);
-  }
 
   /// Shared payload depot of the proxy data plane (nullptr on kCopy).
   void set_depot(ProxyDepot* depot) { depot_ = depot; }
@@ -108,9 +106,10 @@ public:
   exec::Co<void> run_heartbeats();
 
   /// Fail-stop crash (fault injection): the worker stops heartbeating,
-  /// drops every queued and future message, abandons in-flight computes,
-  /// and loses its store. The actor stays allocated — a crashed worker is
-  /// a black hole, not a dangling pointer.
+  /// abandons in-flight computes, loses its store, and drops every queued
+  /// and future message except fetches, which it refuses (a PeerLost
+  /// reply, as from a closed port) so requesters give up their attempt
+  /// instead of waiting forever. The actor stays allocated.
   void crash();
   bool alive() const { return alive_; }
 
@@ -142,35 +141,42 @@ public:
   /// is released — callers copy the Data struct, a cheap shared_ptr
   /// alias, before suspending). On the proxy plane an unresolved handle
   /// is materialized first (lazy resolution, deduplicated per key).
+  /// Returns nullptr once the worker has crashed.
   exec::Co<const Data*> local_ref(const Key& key);
 
 private:
-  /// One in-flight peer fetch, shared by every task waiting on the key.
+  /// One in-flight peer fetch, shared by every task waiting on the key
+  /// from the same owner.
   struct InflightFetch {
-    explicit InflightFetch(exec::Executor& engine) : done(engine) {}
+    explicit InflightFetch(exec::Executor& engine, int owner_ = -1)
+        : done(engine), owner(owner_) {}
     exec::Event done;
-    Data data;
+    int owner;
+    Data data;  // the payload, or a PeerLost marker
   };
 
   exec::Co<void> handle_compute(TaskSpec spec, std::vector<DepLocation> deps,
                                 std::uint64_t cause);
+  /// A dependency's payload, or a PeerLost marker when its owner refused
+  /// the fetch (handle_compute then drops the attempt).
   exec::Co<Data> fetch(const DepLocation& dep);
   /// Materialize the proxy handle registered for `key` into the store:
   /// pull the deposit (a modeled cross-node transfer when the handle
   /// points off-node; zero-copy otherwise). Concurrent resolvers of the
   /// same key join one resolution.
   exec::Co<void> resolve_proxy(const Key& key);
-  /// Register a pushed proxy handle (proxy-plane kReceiveData*).
+  /// Register a pushed proxy handle (proxy-plane kReceiveData).
   void store_put_proxy(Key key, const ProxyHandle& handle);
   /// Fetch one dependency into slot `i` of the shared input vector
   /// (spawned per dep by handle_compute; joined with when_all).
   exec::Co<void> fetch_one(std::shared_ptr<std::vector<Data>> inputs,
                           std::size_t i, DepLocation dep);
   exec::Co<void> handle_get_data(WorkerMsg msg);
-  void store_put(Key key, Data data);
-  /// Like store_put, but accounts the bytes as a cached peer copy
-  /// (memory_bytes_ and kPeerFetchCachedBytes, not bytes_stored_).
-  void store_put_cached(Key key, Data data);
+  /// `cached` accounts the bytes as a cached peer copy (memory_bytes_
+  /// and kPeerFetchCachedBytes, not bytes_stored_).
+  void store_put(Key key, Data data, bool cached = false);
+  /// Wake the local_ref loops parked on `key`.
+  void wake_arrival(const Key& key);
   exec::Co<void> notify_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable);
 
@@ -191,8 +197,6 @@ private:
   exec::FifoServer cpu_;
 
   int scheduler_node_ = -1;
-  exec::Channel<SchedMsg>* scheduler_inbox_ = nullptr;
-  /// Empty at shards == 1 (every branch testing it is dead then).
   std::vector<exec::Channel<SchedMsg>*> shard_inboxes_;
   std::vector<WorkerRef> peers_;
 
@@ -203,8 +207,9 @@ private:
   ProxyDepot* depot_ = nullptr;
   std::unordered_map<Key, std::unique_ptr<exec::Event>> arrivals_;
   /// Peer fetches currently on the wire, keyed by the requested key.
-  /// Tasks needing a key already in flight join the existing fetch
-  /// instead of issuing a duplicate request.
+  /// Tasks needing a key already in flight from the same owner join the
+  /// existing fetch instead of issuing a duplicate request; a fetch of a
+  /// key recovery moved to another owner starts a flight of its own.
   std::unordered_map<Key, std::shared_ptr<InflightFetch>> inflight_;
   /// Proxy resolutions currently materializing, keyed by the key; later
   /// dereferences of the same handle join instead of double-pulling.

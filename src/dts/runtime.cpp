@@ -17,9 +17,8 @@ Runtime::Runtime(exec::Executor& engine, exec::Transport& cluster,
   std::vector<WorkerRef> refs = worker_refs();
   sched_->attach_workers(refs);
   for (auto& w : workers_) {
-    w->attach(scheduler_node, &sched_->shard(0).inbox(), refs);
+    w->attach(scheduler_node, sched_->inboxes(), refs);
     w->set_depot(depot_.get());
-    if (params.shards > 1) w->set_shards(sched_->inboxes());
   }
 }
 
@@ -50,9 +49,8 @@ void Runtime::start() {
 Client& Runtime::make_client(int node) {
   clients_.push_back(std::make_unique<Client>(
       *engine_, *cluster_, static_cast<int>(clients_.size()), node,
-      sched_->shard(0).node(), &sched_->shard(0).inbox(), worker_refs()));
+      sched_->shard(0).node(), sched_->inboxes(), worker_refs()));
   clients_.back()->set_data_plane(data_plane_, depot_.get());
-  if (sched_->num_shards() > 1) clients_.back()->set_shards(sched_->inboxes());
   return *clients_.back();
 }
 

@@ -35,10 +35,10 @@ void Worker::count_local_read(std::uint64_t bytes) {
 }
 
 void Worker::attach(int scheduler_node,
-                    exec::Channel<SchedMsg>* scheduler_inbox,
+                    std::vector<exec::Channel<SchedMsg>*> shard_inboxes,
                     std::vector<WorkerRef> peers) {
   scheduler_node_ = scheduler_node;
-  scheduler_inbox_ = scheduler_inbox;
+  shard_inboxes_ = std::move(shard_inboxes);
   peers_ = std::move(peers);
 }
 
@@ -46,10 +46,14 @@ exec::Co<void> Worker::run() {
   while (true) {
     WorkerMsg msg = co_await inbox_.recv();
     if (!alive_ && msg.kind != WorkerMsgKind::kShutdown) {
-      // Crashed worker: every message disappears into the void. Senders
-      // that expected a reply stay blocked and are reaped at teardown;
-      // the scheduler learns of the death from the missed heartbeats.
+      // Crashed worker: every message disappears into the void, except
+      // that a fetch is refused, as a connection to a dead process is:
+      // the requester gives its attempt up instead of holding a fetch
+      // slot forever. The scheduler learns of the death from the missed
+      // heartbeats.
       counters_.add(WorkerCounter::kMessagesDroppedDead);
+      if (msg.kind == WorkerMsgKind::kGetData)
+        msg.reply_data->send(make_lost_data());
       continue;
     }
     switch (msg.kind) {
@@ -60,16 +64,6 @@ exec::Co<void> Worker::run() {
       case WorkerMsgKind::kReceiveData:
         // Pushed payloads inherit the push span as provenance so later
         // consumers (gather, queue hand-offs) can link back to it.
-        if (msg.cause != 0) msg.payload.cause = msg.cause;
-        if (const ProxyHandle* h = as_proxy(msg.payload)) {
-          ProxyHandle handle = *h;
-          if (msg.cause != 0) handle.cause = msg.cause;
-          store_put_proxy(std::move(msg.key), handle);
-        } else {
-          store_put(std::move(msg.key), std::move(msg.payload));
-        }
-        break;
-      case WorkerMsgKind::kReceiveDataBatch:
         for (auto& [key, payload] : msg.batch) {
           if (msg.cause != 0) payload.cause = msg.cause;
           if (const ProxyHandle* h = as_proxy(payload)) {
@@ -126,6 +120,10 @@ void Worker::crash() {
                    // in the depot for the re-push protocol to re-route
   memory_bytes_ = 0;
   record_memory();
+  // Wake every local_ref parked on a key that will now never arrive; it
+  // sees the crash and gives up.
+  for (auto& [key, event] : arrivals_) event->set();
+  arrivals_.clear();
   counters_.add(WorkerCounter::kCrashes);
   obs::trace_instant(actor_, "lifecycle", "crash");
 }
@@ -139,8 +137,14 @@ bool Worker::release_key(const Key& key) {
   return true;
 }
 
-void Worker::store_put(Key key, Data data) {
-  bytes_stored_ += data.bytes;
+void Worker::store_put(Key key, Data data, bool cached) {
+  // A cached copy of a peer's data is resident memory, but it is not new
+  // data produced or received by this worker: account it on its own
+  // counter so bytes_stored() keeps measuring store throughput.
+  if (cached)
+    counters_.add(WorkerCounter::kPeerFetchCachedBytes, data.bytes);
+  else
+    bytes_stored_ += data.bytes;
   memory_bytes_ += data.bytes;
   // Single probe: try_emplace finds-or-inserts in one hash, and the key
   // string moves into the store instead of being copied.
@@ -148,28 +152,7 @@ void Worker::store_put(Key key, Data data) {
   if (!fresh) memory_bytes_ -= slot->second.bytes;
   slot->second = std::move(data);
   record_memory();
-  const auto it = arrivals_.find(slot->first);
-  if (it != arrivals_.end()) {
-    it->second->set();
-    arrivals_.erase(it);
-  }
-}
-
-void Worker::store_put_cached(Key key, Data data) {
-  // A cached copy of a peer's data is resident memory, but it is not new
-  // data produced or received by this worker: account it on its own
-  // counter so bytes_stored() keeps measuring store throughput.
-  counters_.add(WorkerCounter::kPeerFetchCachedBytes, data.bytes);
-  memory_bytes_ += data.bytes;
-  const auto [slot, fresh] = store_.try_emplace(std::move(key));
-  if (!fresh) memory_bytes_ -= slot->second.bytes;
-  slot->second = std::move(data);
-  record_memory();
-  const auto it = arrivals_.find(slot->first);
-  if (it != arrivals_.end()) {
-    it->second->set();
-    arrivals_.erase(it);
-  }
+  wake_arrival(slot->first);
 }
 
 void Worker::store_put_proxy(Key key, const ProxyHandle& handle) {
@@ -177,8 +160,12 @@ void Worker::store_put_proxy(Key key, const ProxyHandle& handle) {
   // untouched until resolution materializes the bytes.
   proxy_[key] = handle;
   counters_.add(WorkerCounter::kProxiesReceived);
-  // Wake local_ref loops parked on this key; they re-probe, find the
-  // handle, and resolve it.
+  // local_ref loops parked on this key re-probe, find the handle, and
+  // resolve it.
+  wake_arrival(key);
+}
+
+void Worker::wake_arrival(const Key& key) {
   const auto it = arrivals_.find(key);
   if (it != arrivals_.end()) {
     it->second->set();
@@ -204,28 +191,23 @@ exec::Co<void> Worker::resolve_proxy(const Key& key) {
     span.set_cause(handle.cause, obs::EdgeKind::kPush);
     span.add_arg(obs::arg("bytes", handle.bytes));
   }
-  if (handle.location != node_) {
-    // First dereference on this node: the payload bytes move now, over
-    // the same transport a copy-plane push would have used eagerly.
-    co_await cluster_->transfer(handle.location, node_,
-                                std::max(handle.bytes, kMinTransferBytes));
+  // First dereference on this node: the payload bytes move now, over
+  // the same transport a copy-plane push would have used eagerly (or are
+  // aliased out of the depot when the origin is this node).
+  PulledDeposit pulled =
+      co_await pull_deposit(*cluster_, depot_, key, handle, node_);
+  if (pulled.moved) {
     counters_.add(WorkerCounter::kBytesMoved, handle.bytes);
     counters_.add(WorkerCounter::kProxyPulls);
   } else {
-    // Same-node dereference: zero-copy (shared_ptr alias out of the
-    // depot; the threaded transport's local bypass for real scratch).
     counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
     counters_.add(WorkerCounter::kProxyLocalDerefs);
   }
   fetch_slots_.release();
   span.finish();
-  Data d;
-  const bool deposited = depot_ != nullptr && depot_->fetch(key, d);
-  DEISA_CHECK(deposited, "proxy deposit missing for " << key
-                             << " (released before its last consumer?)");
   if (alive_) {
     proxy_.erase(key);
-    store_put(key, std::move(d));
+    store_put(key, std::move(pulled.data));
   }
   flight->done.set();
   resolving_.erase(key);
@@ -233,6 +215,7 @@ exec::Co<void> Worker::resolve_proxy(const Key& key) {
 
 exec::Co<const Data*> Worker::local_ref(const Key& key) {
   while (true) {
+    if (!alive_) co_return nullptr;
     const auto it = store_.find(key);
     // Non-owning reference into the store: element addresses are stable
     // under rehash, and the entry outlives the caller's read (releases
@@ -260,6 +243,7 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     // (every local dependency read duplicates the payload); the proxy
     // plane reads by reference, so local deps move zero extra bytes.
     const Data* d = co_await local_ref(dep.key);
+    if (d == nullptr) co_return Data();  // crashed: the attempt dies here
     count_local_read(d->bytes);
     co_return *d;
   }
@@ -271,9 +255,10 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     count_local_read(hit->second.bytes);
     co_return hit->second;
   }
-  // The same key is already on the wire for another task: join that
-  // fetch instead of issuing a duplicate request to the peer.
-  if (const auto it = inflight_.find(dep.key); it != inflight_.end()) {
+  // The same key is already on the wire from the same owner for another
+  // task: join that fetch instead of issuing a duplicate request.
+  if (const auto it = inflight_.find(dep.key);
+      it != inflight_.end() && it->second->owner == dep.owner) {
     auto flight = it->second;  // keep alive across the await
     counters_.add(WorkerCounter::kPeerFetchShared);
     co_await flight->done.wait();
@@ -282,8 +267,8 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   // First requester: register the flight *before* waiting for a fetch
   // slot so later requesters of the same key join immediately instead of
   // queueing their own fetch behind the semaphore.
-  auto flight = std::make_shared<InflightFetch>(*engine_);
-  inflight_.emplace(dep.key, flight);
+  auto flight = std::make_shared<InflightFetch>(*engine_, dep.owner);
+  inflight_.insert_or_assign(dep.key, flight);
   co_await fetch_slots_.acquire();
   // Peer fetch: request + bulk transfer back.
   const WorkerRef& peer = peers_[static_cast<std::size_t>(dep.owner)];
@@ -299,40 +284,43 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   req.reply_data = reply;
   peer.inbox->send(std::move(req));
   Data d = co_await reply->recv();
+  // A PeerLost reply (the owner crashed) has nothing to pull or cache:
+  // the flight ends below, and every joiner gives its attempt up too.
+  const bool lost = is_lost(d);
   if (const ProxyHandle* h = as_proxy(d)) {
     // The owner never materialized the block — it forwarded the handle
     // (token-sized reply). Pull the deposit directly from its origin
     // instead of bouncing the bytes through the owner.
     const ProxyHandle handle = *h;
     const std::uint64_t push_cause = d.cause;
-    if (handle.location != node_) {
-      co_await cluster_->transfer(handle.location, node_,
-                                  std::max(handle.bytes, kMinTransferBytes));
-      counters_.add(WorkerCounter::kBytesMoved, handle.bytes);
-    } else {
-      counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
-    }
-    Data real;
-    const bool deposited = depot_ != nullptr && depot_->fetch(dep.key, real);
-    DEISA_CHECK(deposited, "forwarded proxy deposit missing for " << dep.key);
-    if (push_cause != 0) real.cause = push_cause;
-    d = std::move(real);
+    PulledDeposit pulled =
+        co_await pull_deposit(*cluster_, depot_, dep.key, handle, node_);
+    counters_.add(pulled.moved ? WorkerCounter::kBytesMoved
+                               : WorkerCounter::kBytesReferenced,
+                  handle.bytes);
+    d = std::move(pulled.data);
+    if (push_cause != 0) d.cause = push_cause;
     counters_.add(WorkerCounter::kProxyForwardedPulls);
-  } else {
+  } else if (!lost) {
     // Real payload crossed the wire from the owner.
     counters_.add(WorkerCounter::kBytesMoved, d.bytes);
   }
   fetch_slots_.release();
   if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
   span.finish();
-  counters_.add(WorkerCounter::kPeerFetches);
-  counters_.add(WorkerCounter::kPeerFetchBytes, d.bytes);
-  // Cache locally, as dask workers do (skip if we crashed mid-fetch:
-  // the store of a dead worker stays empty).
-  if (alive_) store_put_cached(dep.key, d);
+  if (!lost) {
+    counters_.add(WorkerCounter::kPeerFetches);
+    counters_.add(WorkerCounter::kPeerFetchBytes, d.bytes);
+    // Cache locally, as dask workers do (skip if we crashed mid-fetch:
+    // the store of a dead worker stays empty).
+    if (alive_) store_put(dep.key, d, /*cached=*/true);
+  }
   flight->data = d;
   flight->done.set();
-  inflight_.erase(dep.key);
+  // A fetch of the key from a newer owner may have replaced this flight.
+  if (const auto it = inflight_.find(dep.key);
+      it != inflight_.end() && it->second == flight)
+    inflight_.erase(it);
   co_return d;
 }
 
@@ -346,20 +334,24 @@ exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
       const ProxyHandle handle = it->second;
       co_await cluster_->transfer_token(node_, msg.requester_node,
                                         msg.key.size());
-      if (!alive_) co_return;
-      counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
-      counters_.add(WorkerCounter::kProxyForwards);
-      msg.reply_data->send(make_proxy_data(handle));
+      if (alive_) {
+        counters_.add(WorkerCounter::kBytesReferenced, handle.bytes);
+        counters_.add(WorkerCounter::kProxyForwards);
+      }
+      msg.reply_data->send(alive_ ? make_proxy_data(handle) : make_lost_data());
       co_return;
     }
   }
+  // Dying while the request waits, or mid-transfer, refuses the reply.
   const Data* ref = co_await local_ref(msg.key);
-  if (!alive_) co_return;  // died while the request was in flight
+  if (ref == nullptr) {
+    msg.reply_data->send(make_lost_data());
+    co_return;
+  }
   Data d = *ref;  // alias out of the store before suspending again
   const std::uint64_t b = std::max(d.bytes, kMinTransferBytes);
   co_await cluster_->transfer(node_, msg.requester_node, b);
-  if (!alive_) co_return;
-  msg.reply_data->send(std::move(d));
+  msg.reply_data->send(alive_ ? std::move(d) : make_lost_data());
 }
 
 exec::Co<void> Worker::fetch_one(std::shared_ptr<std::vector<Data>> inputs,
@@ -392,6 +384,11 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
     for (std::size_t i = 0; i < deps.size(); ++i)
       fetches.push_back(fetch_one(inputs, i, deps[i]));
     co_await exec::when_all(*engine_, std::move(fetches));
+    // An owner refused a fetch (it crashed): give the attempt up without
+    // reporting it. Recovery re-assigns the task once the scheduler
+    // detects the death.
+    for (const Data& in : *inputs)
+      if (is_lost(in)) co_return;
   }
   if (!alive_) co_return;  // crashed while fetching inputs
 
@@ -435,14 +432,12 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
 }
 
 exec::Co<void> Worker::notify_scheduler(SchedMsg msg, exec::Delivery delivery) {
-  DEISA_ASSERT(scheduler_inbox_ != nullptr, "worker not attached");
+  DEISA_ASSERT(!shard_inboxes_.empty(), "worker not attached");
   // Keyed notifications go to the shard owning the key; keyless traffic
-  // (heartbeats) stays on shard 0. Dead branch at shards == 1.
-  exec::Channel<SchedMsg>* target = scheduler_inbox_;
-  if (!shard_inboxes_.empty() && !msg.key.empty()) {
-    ShardMapper mapper{static_cast<int>(shard_inboxes_.size())};
-    target = shard_inboxes_[static_cast<std::size_t>(mapper.shard_of(msg.key))];
-  }
+  // (heartbeats) stays on shard 0.
+  const ShardMapper mapper{static_cast<int>(shard_inboxes_.size())};
+  exec::Channel<SchedMsg>* target = shard_inboxes_[static_cast<std::size_t>(
+      msg.key.empty() ? 0 : mapper.shard_of(msg.key))];
   const exec::SendResult res = co_await cluster_->send_control(
       node_, scheduler_node_, wire_bytes(msg), delivery);
   // Delivery is caller-side: enqueue 0, 1 or 2 copies as the fault hook

@@ -608,15 +608,17 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
               "(DEISA2/3); got "
                   << to_string(pipeline) << " with " << params.arrays
                   << " arrays");
-  World w(params);
   // Attach the observability layer for the duration of the run: a metrics
   // registry always, a trace recorder only when asked for, both stamped
   // with the engine's simulated time. Previous installations (e.g. an
-  // outer test harness) are restored on return.
+  // outer test harness) are restored on return. The recorder is declared
+  // before the world so it outlives it: on a throwing run ~World destroys
+  // suspended coroutines whose open spans still write into it.
   std::shared_ptr<obs::Recorder> recorder;
   if (params.trace)
     recorder = std::make_shared<obs::Recorder>(params.trace_capacity,
                                                params.trace_drop_policy);
+  World w(params);
   obs::MetricsRegistry registry;
   obs::ObservationScope scope(recorder.get(), &registry,
                               [&engine = w.engine] { return engine.now(); });

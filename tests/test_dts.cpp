@@ -14,6 +14,7 @@
 
 namespace dts = deisa::dts;
 namespace net = deisa::net;
+namespace obs = deisa::obs;
 namespace sim = deisa::sim;
 
 namespace {
@@ -551,9 +552,91 @@ TEST(Dts, ScatterBatchIsOneRegistrationRpc) {
     EXPECT_EQ(tc.rt->scheduler().state_of(k), dts::TaskState::kMemory);
 }
 
-// ---- proxy data plane / refcount GC ----
+// ---- one push path, one routing table ----
 
-namespace obs = deisa::obs;
+sim::Co<void> push_one_flow(TestCluster& tc, bool batch) {
+  if (batch) {
+    std::vector<std::pair<dts::Key, dts::Data>> items;
+    items.emplace_back("blk", dts::Data::sized(4096));
+    (void)co_await tc.client->scatter_batch(std::move(items), /*worker=*/0);
+  } else {
+    (void)co_await tc.client->scatter("blk", dts::Data::sized(4096),
+                                      /*worker=*/0, /*external=*/false,
+                                      /*inform_scheduler=*/false);
+  }
+  co_await tc.rt->shutdown();
+}
+
+TEST(Dts, ScatterAndBatchOfOnePushAlike) {
+  // A single scatter is a batch of one on the wire: same worker store,
+  // same data-plane bytes, and the same net.bytes for the push. Only the
+  // registration differs (the batch one adds its ack round trip, priced
+  // below; the scatter here skips registration).
+  const std::uint64_t batch_registration =
+      dts::kWireEnvelopeBytes + dts::kWirePerKeyBytes +
+      sizeof(std::uint64_t) + dts::kControlMsgBase + sizeof(int);
+  for (dts::DataPlane plane :
+       {dts::DataPlane::kCopy, dts::DataPlane::kProxy}) {
+    SCOPED_TRACE(dts::to_string(plane));
+    struct Seen {
+      std::uint64_t net_bytes, moved, referenced, stored, memory;
+      std::size_t in_memory, proxied;
+    } seen[2];
+    for (const bool batch : {false, true}) {
+      dts::RuntimeParams rp;
+      rp.data_plane = plane;
+      TestCluster tc(1, rp);
+      obs::MetricsRegistry registry;
+      obs::ObservationScope scope(nullptr, &registry);
+      tc.run(push_one_flow(tc, batch));
+      const obs::MetricsSnapshot snap = registry.snapshot();
+      const dts::Worker& w = tc.rt->worker(0);
+      seen[batch] = {snap.counter("net.bytes") -
+                         (batch ? batch_registration : 0),
+                     snap.counter(obs::kBytesMoved),
+                     snap.counter(obs::kBytesReferenced),
+                     w.bytes_stored(),
+                     w.memory_bytes(),
+                     w.keys_in_memory(),
+                     w.keys_proxied()};
+    }
+    const bool proxy = plane == dts::DataPlane::kProxy;
+    EXPECT_EQ(seen[0].net_bytes,
+              proxy ? deisa::exec::Transport::kTokenBytes + 3 : 4096u);
+    EXPECT_EQ(seen[1].net_bytes, seen[0].net_bytes);
+    EXPECT_EQ(seen[1].moved, seen[0].moved);
+    EXPECT_EQ(seen[1].referenced, seen[0].referenced);
+    EXPECT_EQ(seen[0].moved, proxy ? 0u : 4096u);
+    EXPECT_EQ(seen[0].referenced, proxy ? 4096u : 0u);
+    EXPECT_EQ(seen[1].stored, seen[0].stored);
+    EXPECT_EQ(seen[1].memory, seen[0].memory);
+    EXPECT_EQ(seen[1].in_memory, seen[0].in_memory);
+    EXPECT_EQ(seen[1].proxied, seen[0].proxied);
+    EXPECT_EQ(seen[0].proxied, proxy ? 1u : 0u);
+  }
+}
+
+sim::Co<void> empty_requests_flow(TestCluster& tc) {
+  co_await tc.client->submit(std::vector<dts::TaskSpec>(), no_keys());
+  (void)co_await tc.client->external_futures(no_keys());
+  co_await tc.rt->shutdown();
+}
+
+TEST(Dts, EmptyRequestsSendNothingAtAnyShardCount) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    dts::RuntimeParams rp;
+    rp.shards = shards;
+    TestCluster tc(2, rp);
+    tc.run(empty_requests_flow(tc));
+    const dts::ShardedScheduler& sched = tc.rt->sharded();
+    EXPECT_EQ(sched.messages_received(dts::SchedMsgKind::kUpdateGraph), 0u);
+    EXPECT_EQ(sched.messages_received(dts::SchedMsgKind::kCreateExternal), 0u);
+    EXPECT_EQ(tc.cluster->stats().count, 0u);  // nothing on the network
+  }
+}
+
+// ---- proxy data plane / refcount GC ----
 
 sim::Co<void> local_chain_flow(TestCluster& tc, std::uint64_t block) {
   co_await tc.client->external_futures(keys("x"), ints(0));

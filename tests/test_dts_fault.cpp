@@ -296,6 +296,61 @@ TEST(Fault, LostKeysRecomputedViaLineage) {
   EXPECT_GT(tc.rt->worker(1).tasks_executed(), 0u);
 }
 
+sim::Co<void> refetch_after_recovery_flow(dts::Runtime& rt, sim::Engine& eng,
+                                          int& result) {
+  dts::Client& client = rt.make_client(1);
+  std::vector<dts::TaskSpec> tasks;
+  // "big" on w2 takes ~20 s to move, so w0's single fetch slot is busy
+  // while "k" on w1 dies and is recomputed on w2 (next to its input).
+  tasks.emplace_back("big", no_keys(), nullptr, /*cost=*/0.0,
+                     /*out_bytes=*/250'000'000'000ull, /*preferred_worker=*/2);
+  tasks.emplace_back("seed", no_keys(),
+                     [](const std::vector<dts::Data>&) { return int_data(20); },
+                     /*cost=*/0.0, /*out_bytes=*/0, /*preferred_worker=*/2);
+  tasks.emplace_back("k", keys("seed"),
+                     [](const std::vector<dts::Data>& in) { return in[0]; },
+                     /*cost=*/0.0, /*out_bytes=*/0, /*preferred_worker=*/1);
+  tasks.emplace_back("t", keys("big", "k"),
+                     [](const std::vector<dts::Data>& in) {
+                       return int_data(in[1].as<int>() + 1);
+                     },
+                     /*cost=*/0.0, /*out_bytes=*/0, /*preferred_worker=*/0);
+  co_await client.submit(std::move(tasks), keys("t"));
+  (void)co_await client.wait_key("k");
+  co_await eng.delay(0.5);  // t runs on w0: big holds the slot, k queues
+  rt.worker(1).crash();
+  result = (co_await client.gather("t")).as<int>();
+  co_await rt.shutdown();
+}
+
+TEST(Fault, ReassignedAttemptDoesNotJoinAFetchFromTheDead) {
+  // The first attempt of t queues its fetch of k from w1 behind the slow
+  // fetch of big. w1 dies; recovery recomputes k on w2 and re-assigns t
+  // to w0 before that queued fetch ever leaves. The new attempt must
+  // fetch k from w2, not join the flight to the corpse: that one ends
+  // with a refusal, and both attempts would then give up.
+  sim::Engine eng;
+  net::ClusterParams cp;
+  cp.physical_nodes = 7;
+  net::Cluster cluster(eng, cp);
+  dts::RuntimeParams rp;
+  rp.scheduler.service_base = 1e-4;
+  rp.scheduler.service_per_task = 0;
+  rp.scheduler.service_per_key = 0;
+  rp.scheduler.heartbeat_timeout = 3.0;
+  rp.worker.max_concurrent_fetches = 1;
+  std::vector<int> wn;
+  for (int i = 0; i < 3; ++i) wn.push_back(2 + i);
+  dts::Runtime rt(eng, cluster, 0, wn, rp);
+  rt.start();
+  int result = 0;
+  eng.spawn(refetch_after_recovery_flow(rt, eng, result));
+  EXPECT_TRUE(eng.run_until(600.0));
+  EXPECT_EQ(result, 21);
+  EXPECT_EQ(rt.scheduler().counters()[dts::SchedCounter::kWorkersLost], 1u);
+  EXPECT_EQ(rt.scheduler().counters()[dts::SchedCounter::kTasksRerun], 1u);
+}
+
 sim::Co<void> rearm_repush_flow(TestCluster& tc, int& first_ack,
                                 dts::RepushList& assignments, int& value) {
   std::vector<int> pw;

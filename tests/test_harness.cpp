@@ -226,6 +226,50 @@ TEST(HarnessFault, WorkerKillRecoversWithIdenticalResults) {
     EXPECT_EQ(faulty.explained_variance[i], clean.explained_variance[i]);
 }
 
+TEST(HarnessFault, FetchesFromAKilledPeerEnd) {
+  // A crashed worker must refuse fetches: a fetch it swallowed would
+  // hold the requester's fetch slot forever and strand every attempt
+  // that joined it, and these kill times would run into the
+  // simulated-time cap.
+  harness::ScenarioParams p;
+  p.ranks = 8;
+  p.workers = 4;
+  p.block_bytes = 64 * 1024;
+  p.timesteps = 5;
+  p.real_data = true;
+  p.alloc_seed = 1000;
+  for (const int shards : {1, 4}) {
+    p.shards = shards;
+    p.faults = deisa::fault::FaultPlan();
+    const auto clean = harness::run_scenario(harness::Pipeline::kDeisa3, p);
+    ASSERT_EQ(clean.singular_values.size(), 2u);
+    for (const char* plan : {"kill:1@0.1", "kill:1@0.2"}) {
+      SCOPED_TRACE(std::string(plan) + " at shards " + std::to_string(shards));
+      p.faults = deisa::fault::FaultPlan::parse(plan);
+      const auto faulty = harness::run_scenario(harness::Pipeline::kDeisa3, p);
+      EXPECT_EQ(faulty.recovery.workers_lost, 1u);
+      EXPECT_EQ(faulty.singular_values, clean.singular_values);
+    }
+  }
+}
+
+TEST(HarnessFault, TracedRunThatThrowsKeepsItsRecorder) {
+  // Plain DEISA1 scatters are unrecoverable, so this kill errs the run.
+  // Unwinding destroys suspended coroutines whose open trace spans write
+  // into the recorder; it must still be alive then.
+  harness::ScenarioParams p;
+  p.ranks = 4;
+  p.workers = 2;
+  p.block_bytes = 16 * 1024;
+  p.timesteps = 4;
+  p.real_data = true;
+  p.alloc_seed = 1000;
+  p.faults = deisa::fault::FaultPlan::parse("kill:1@0.3");
+  p.trace = true;
+  EXPECT_THROW(harness::run_scenario(harness::Pipeline::kDeisa1, p),
+               std::exception);
+}
+
 TEST(HarnessFault, SameFaultSeedReplaysIdentically) {
   // A plan plus a seed is a complete description of the failure trace:
   // repeated runs agree event for event (timings, message counts, and
