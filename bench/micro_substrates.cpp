@@ -6,6 +6,7 @@
 // threaded substrate against the modeled one.
 #include <benchmark/benchmark.h>
 
+#include "deisa/apps/heat2d.hpp"
 #include "deisa/net/cluster.hpp"
 #include "deisa/config/yaml.hpp"
 #include "deisa/dts/runtime.hpp"
@@ -20,10 +21,12 @@
 
 namespace {
 
+namespace apps = deisa::apps;
 namespace dts = deisa::dts;
 namespace exec = deisa::exec;
 namespace la = deisa::linalg;
 namespace ml = deisa::ml;
+namespace mpix = deisa::mpix;
 namespace net = deisa::net;
 namespace rt = deisa::rt;
 namespace sim = deisa::sim;
@@ -194,17 +197,28 @@ void BM_RandomizedSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedSvd)->Arg(128)->Arg(256);
 
-// The exact right-only SVD of an IPCA update: the stacked matrix of a
-// 256-sample x 256-feature batch with two kept components is 259 x 256.
+// The exact right-only SVD of an IPCA update, reading two right vectors:
+// the stacked matrix of a 256-sample x 256-feature batch with two kept
+// components is 259 x 256, and a first batch is 256 x 256. Args: rows,
+// cols, rank (0 = a full-rank random matrix). Heat2D stacks are
+// numerically rank 3-9, so most of Jacobi's columns go to zero.
 void BM_SvdRight(benchmark::State& state) {
-  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)),
-                               static_cast<std::size_t>(state.range(1)));
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto rank = static_cast<std::size_t>(state.range(2));
+  const auto a = rank == 0 ? random_matrix(m, n)
+                           : la::matmul(random_matrix(m, rank),
+                                        random_matrix(n, rank).transposed());
   for (auto _ : state) {
-    auto svd = la::svd_right(a);
+    auto svd = la::svd_right(a, 2);
     benchmark::DoNotOptimize(svd.s.data());
   }
 }
-BENCHMARK(BM_SvdRight)->Args({259, 256})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvdRight)
+    ->Args({259, 256, 0})
+    ->Args({259, 256, 8})
+    ->Args({256, 256, 8})
+    ->Unit(benchmark::kMillisecond);
 
 // Args: samples, features. 256 x 256 is the insitu-ipca batch shape.
 void BM_IpcaPartialFit(benchmark::State& state) {
@@ -224,6 +238,31 @@ BENCHMARK(BM_IpcaPartialFit)
     ->Args({256, 64})
     ->Args({256, 256})
     ->Unit(benchmark::kMillisecond);
+
+sim::Co<void> heat2d_step(apps::Heat2d& solver, mpix::Comm& comm) {
+  co_await solver.step(comm);
+}
+
+// One explicit Heat2D step of an n x n block on a single rank: no halo
+// exchange, so this times the stencil kernel alone. 128 x 128 is the
+// insitu-ipca block.
+void BM_Heat2dStep(benchmark::State& state) {
+  apps::Heat2dConfig cfg;
+  cfg.local_nx = state.range(0);
+  cfg.local_ny = state.range(0);
+  sim::Engine eng;
+  net::Cluster cluster(eng, net::ClusterParams{});
+  mpix::Comm comm(cluster, {0});
+  apps::Heat2d solver(cfg, 0);
+  solver.initialize();
+  for (auto _ : state) {
+    eng.spawn(heat2d_step(solver, comm));
+    eng.run();
+  }
+  benchmark::DoNotOptimize(solver.local_heat());
+  state.SetItemsProcessed(state.iterations() * cfg.local_nx * cfg.local_ny);
+}
+BENCHMARK(BM_Heat2dStep)->Arg(128);
 
 void BM_YamlParseListing1(benchmark::State& state) {
   const std::string doc = R"(

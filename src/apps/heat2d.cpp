@@ -40,14 +40,14 @@ void Heat2d::initialize() {
   const double cy = 0.6 * static_cast<double>(cfg_.global_ny());
   const double r2 =
       0.02 * static_cast<double>(cfg_.global_nx() * cfg_.global_ny());
+  double* cell = field_.data();  // row-major (local_nx, local_ny)
   for (std::int64_t i = 0; i < cfg_.local_nx; ++i) {
     for (std::int64_t j = 0; j < cfg_.local_ny; ++j) {
       const double x = gx0 + static_cast<double>(i);
       const double y = gy0 + static_cast<double>(j);
       const double d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy);
-      const array::Index ij{i, j};
-      field_.at(ij) = 100.0 * std::exp(-d2 / r2) +
-                      0.05 * x + 0.02 * y;  // blob + gradient
+      *cell++ = 100.0 * std::exp(-d2 / r2) +
+                0.05 * x + 0.02 * y;  // blob + gradient
     }
   }
   step_count_ = 0;
@@ -67,6 +67,10 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const int east = neighbor(+1, 0);
   const int north = neighbor(0, -1);
   const int south = neighbor(0, +1);
+  // Cell (i, j) of the row-major local field.
+  const auto field_at = [&](std::int64_t i, std::int64_t j) {
+    return field_.data()[i * ny + j];
+  };
 
   // Gather boundary strips.
   std::vector<double> west_col(static_cast<std::size_t>(ny));
@@ -74,12 +78,12 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   std::vector<double> north_row(static_cast<std::size_t>(nx));
   std::vector<double> south_row(static_cast<std::size_t>(nx));
   for (std::int64_t j = 0; j < ny; ++j) {
-    west_col[static_cast<std::size_t>(j)] = field_.at(array::Index{0, j});
-    east_col[static_cast<std::size_t>(j)] = field_.at(array::Index{nx - 1, j});
+    west_col[static_cast<std::size_t>(j)] = field_at(0, j);
+    east_col[static_cast<std::size_t>(j)] = field_at(nx - 1, j);
   }
   for (std::int64_t i = 0; i < nx; ++i) {
-    north_row[static_cast<std::size_t>(i)] = field_.at(array::Index{i, 0});
-    south_row[static_cast<std::size_t>(i)] = field_.at(array::Index{i, ny - 1});
+    north_row[static_cast<std::size_t>(i)] = field_at(i, 0);
+    south_row[static_cast<std::size_t>(i)] = field_at(i, ny - 1);
   }
 
   // Halo exchange: send our boundary, receive the neighbour's. Tags name
@@ -118,21 +122,22 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const double cdy = cfg_.alpha * dt_ / (cfg_.dy * cfg_.dy);
   const auto value_at = [&](std::int64_t i, std::int64_t j) {
     if (i < 0) return west >= 0 ? halo_w[static_cast<std::size_t>(j)]
-                                : field_.at(array::Index{0, j});
+                                : field_at(0, j);
     if (i >= nx) return east >= 0 ? halo_e[static_cast<std::size_t>(j)]
-                                  : field_.at(array::Index{nx - 1, j});
+                                  : field_at(nx - 1, j);
     if (j < 0) return north >= 0 ? halo_n[static_cast<std::size_t>(i)]
-                                 : field_.at(array::Index{i, 0});
+                                 : field_at(i, 0);
     if (j >= ny) return south >= 0 ? halo_s[static_cast<std::size_t>(i)]
-                                   : field_.at(array::Index{i, ny - 1});
-    return field_.at(array::Index{i, j});
+                                   : field_at(i, ny - 1);
+    return field_at(i, j);
   };
+  double* out = next_.data();
   for (std::int64_t i = 0; i < nx; ++i) {
     for (std::int64_t j = 0; j < ny; ++j) {
-      const double c = field_.at(array::Index{i, j});
+      const double c = field_at(i, j);
       const double lap_x = value_at(i - 1, j) - 2.0 * c + value_at(i + 1, j);
       const double lap_y = value_at(i, j - 1) - 2.0 * c + value_at(i, j + 1);
-      next_.at(array::Index{i, j}) = c + cdx * lap_x + cdy * lap_y;
+      *out++ = c + cdx * lap_x + cdy * lap_y;
     }
   }
   std::swap(field_, next_);

@@ -98,23 +98,33 @@ void rotate(std::span<double> x, std::span<double> y, double c, double s) {
 /// residue inside the span of the other columns, where it can never become
 /// orthogonal to them: it would only shrink, sweep after sweep, and then
 /// normalize to a direction that duplicates another column.
+/// Only pairs of the sweep's live (nonzero) columns are visited, in p < q
+/// order: a zero column has gamma == 0 and is never rotated, so skipping it
+/// changes no bit, and a low-rank PCA stack is mostly zero columns.
 void jacobi_orthogonalize(Matrix& a, Matrix* v) {
   const std::size_t n = a.cols();
   std::vector<double> norms(n);
+  std::vector<std::size_t> live;
   constexpr int kMaxSweeps = 64;
   constexpr double kTol = 1e-14;
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     for (std::size_t j = 0; j < n; ++j) norms[j] = dot(a.col(j), a.col(j));
     const double negligible =
         kTol * kTol * *std::max_element(norms.begin(), norms.end());
+    live.clear();
     for (std::size_t j = 0; j < n; ++j) {
-      if (norms[j] > negligible) continue;
+      if (norms[j] > negligible) {
+        live.push_back(j);
+        continue;
+      }
       std::fill(a.col(j).begin(), a.col(j).end(), 0.0);
       norms[j] = 0.0;
     }
     bool rotated = false;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
+    for (std::size_t lp = 0; lp + 1 < live.size(); ++lp) {
+      for (std::size_t lq = lp + 1; lq < live.size(); ++lq) {
+        const std::size_t p = live[lp];
+        const std::size_t q = live[lq];
         const auto ap = a.col(p);
         const auto aq = a.col(q);
         double& alpha = norms[p];
@@ -167,16 +177,17 @@ Matrix unit_columns(const Matrix& a, const std::vector<std::size_t>& order,
   return u;
 }
 
-/// Replaces the zero columns of the square `v` — those of the exactly-zero
-/// singular values, last in the descending `s` — by unit vectors
-/// orthogonal to all earlier columns: each is the coordinate vector least
-/// covered by them, projected off them twice (Gram-Schmidt with
-/// reorthogonalization).
+/// Replaces the zero columns of `v` (n rows, at most n columns) — those of
+/// the exactly-zero singular values, last in the descending `s` — by unit
+/// vectors orthogonal to all earlier columns: each is the coordinate vector
+/// least covered by them, projected off them twice (Gram-Schmidt with
+/// reorthogonalization). Column j reads only columns 0..j-1, so a leading
+/// block completes to the same bits as the whole square basis.
 void complete_basis(Matrix& v, const std::vector<double>& s) {
   const std::size_t n = v.rows();
   const auto rank = static_cast<std::size_t>(
       std::find(s.begin(), s.end(), 0.0) - s.begin());
-  for (std::size_t j = rank; j < n; ++j) {
+  for (std::size_t j = rank; j < v.cols(); ++j) {
     std::size_t e = 0;
     double least = 2.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -231,7 +242,7 @@ SvdResult svd(const Matrix& a) {
   return out;
 }
 
-RightSvdResult svd_right(const Matrix& a) {
+RightSvdResult svd_right(const Matrix& a, std::size_t vectors) {
   DEISA_CHECK(!a.empty(), "svd_right of empty matrix");
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -249,7 +260,9 @@ RightSvdResult svd_right(const Matrix& a) {
   }
   jacobi_orthogonalize(w, nullptr);
   RightSvdResult out;
-  out.v = unit_columns(w, descending_norms(w, out.s), out.s);
+  std::vector<std::size_t> order = descending_norms(w, out.s);
+  order.resize(std::min(vectors, order.size()));
+  out.v = unit_columns(w, order, out.s);
   if (m >= n) complete_basis(out.v, out.s);
   return out;
 }

@@ -30,17 +30,18 @@ SvdResult svd(const Matrix& a);
 
 struct RightSvdResult {
   std::vector<double> s;  // min(m, n) singular values, descending
-  Matrix v;               // n x min(m, n), right singular vectors
+  Matrix v;               // n x min(vectors, m, n), leading right vectors
 };
 
-/// Exact s and V of an m x n matrix, without U: the same one-sided Jacobi
-/// as svd(), run on a matrix whose columns converge to V diag(s) — the
-/// n x n R^T of an R-only Householder QR when m > n, A^T when m <= n — so
-/// neither U nor V is accumulated. s matches svd() to rounding. When
-/// m >= n, V is square and orthogonal: columns of exactly-zero singular
-/// values are completed to an orthonormal basis. When m < n, those columns
-/// are zero, as in svd().
-RightSvdResult svd_right(const Matrix& a);
+/// Exact s and the leading `vectors` columns of V of an m x n matrix,
+/// without U: the same one-sided Jacobi as svd() over the still-nonzero
+/// columns of a matrix that converges to V diag(s) — the n x n R^T of an
+/// R-only Householder QR when m > n, A^T when m <= n — so neither U nor V
+/// is accumulated. s is the whole spectrum, matching svd() to rounding; a
+/// kept V column has the same bits whatever `vectors` is. When m >= n,
+/// columns of exactly-zero singular values are completed to orthonormal
+/// vectors; when m < n, they are zero, as in svd().
+RightSvdResult svd_right(const Matrix& a, std::size_t vectors);
 
 /// Randomized truncated SVD: rank-k approximation with `oversample` extra
 /// probe vectors and `power_iters` subspace iterations (Halko, Martinsson,

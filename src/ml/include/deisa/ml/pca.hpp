@@ -6,10 +6,11 @@
 // deterministic component orientation.
 //
 // Both fits solve that SVD exactly with linalg::svd_right: the update reads
-// only the singular values and the right singular vectors, never U, and it
-// needs the full spectrum (all min(rows, cols) values), not a rank-k sketch,
-// because Pca's explained_variance_ratio and IncrementalPca's noise_variance
-// sum the unkept tail.
+// the singular values and the k = n_components leading right singular
+// vectors, never U. It needs the whole spectrum's values (all
+// min(rows, cols)), not a rank-k sketch, because Pca's
+// explained_variance_ratio and IncrementalPca's noise_variance sum the
+// unkept tail, but only k vectors, so the solver builds no others.
 #pragma once
 
 #include <cstdint>

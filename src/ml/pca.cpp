@@ -31,16 +31,16 @@ void svd_flip_v(la::Matrix& u, la::Matrix& vt) {
 
 namespace {
 
-/// All min(rows, cols) singular values of `a` and its sign-flipped
-/// components (rows of vt), from the exact right-only solver: the fits
-/// never read U, and they read the whole spectrum (see pca.hpp).
+/// All min(rows, cols) singular values of `a` and its first `k` sign-flipped
+/// components (rows of vt), from the exact right-only solver: the fits never
+/// read U, and read every value but only k vectors (see pca.hpp).
 struct Spectrum {
   std::vector<double> s;
   la::Matrix vt;
 };
 
-Spectrum solve_svd(const la::Matrix& a) {
-  la::RightSvdResult r = la::svd_right(a);
+Spectrum solve_svd(const la::Matrix& a, std::size_t k) {
+  la::RightSvdResult r = la::svd_right(a, k);
   la::Matrix vt = r.v.transposed();
   la::Matrix no_u;
   svd_flip_v(no_u, vt);
@@ -80,9 +80,9 @@ void Pca::fit(const la::Matrix& x) {
   DEISA_CHECK(x.rows() >= 2, "PCA needs at least two samples");
   mean_ = column_means(x);
   const la::Matrix xc = center(x, mean_);
-  const Spectrum r = solve_svd(xc);
-  const std::size_t k = std::min(opts_.n_components, r.s.size());
-  components_ = r.vt.block(0, 0, k, r.vt.cols());
+  Spectrum r = solve_svd(xc, opts_.n_components);
+  const std::size_t k = r.vt.rows();
+  components_ = std::move(r.vt);
   singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
   const double denom = static_cast<double>(x.rows() - 1);
   double total_var = 0.0;
@@ -174,9 +174,9 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
     stack = sv.vstack(xc).vstack(corr);
   }
 
-  const Spectrum r = solve_svd(stack);
-  const std::size_t k = std::min(opts_.n_components, r.s.size());
-  components_ = r.vt.block(0, 0, k, f);
+  Spectrum r = solve_svd(stack, opts_.n_components);
+  const std::size_t k = r.vt.rows();
+  components_ = std::move(r.vt);
   singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
   mean_ = std::move(new_mean);
   var_ = std::move(new_var);

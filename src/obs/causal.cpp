@@ -179,7 +179,10 @@ CausalGraph build_causal_graph(const std::vector<Track>& tracks,
 }
 
 CausalGraph build_causal_graph(const Recorder& recorder) {
-  return build_causal_graph(recorder.tracks(), recorder.events());
+  std::vector<Track> tracks;
+  for (TrackId i = 0; i < recorder.track_count(); ++i)
+    tracks.push_back(recorder.track_of(i));
+  return build_causal_graph(tracks, recorder.events());
 }
 
 CausalGraph build_causal_graph(const TraceData& data) {

@@ -67,13 +67,12 @@ std::string json_escape(std::string_view s) {
 }
 
 void write_chrome_trace(const Recorder& recorder, std::ostream& out) {
-  const auto& tracks = recorder.tracks();
   // pid per unique actor, in first-seen order; tid = track index + 1.
   std::map<std::string, int> pids;
-  std::vector<int> track_pid(tracks.size(), 0);
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
-    auto [it, fresh] =
-        pids.emplace(tracks[i].actor, static_cast<int>(pids.size()) + 1);
+  std::vector<int> track_pid(recorder.track_count(), 0);
+  for (TrackId i = 0; i < track_pid.size(); ++i) {
+    auto [it, fresh] = pids.emplace(recorder.track_of(i).actor,
+                                    static_cast<int>(pids.size()) + 1);
     (void)fresh;
     track_pid[i] = it->second;
   }
@@ -91,15 +90,15 @@ void write_chrome_trace(const Recorder& recorder, std::ostream& out) {
     out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
         << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(actor) << "\"}}";
   }
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
+  for (TrackId i = 0; i < track_pid.size(); ++i) {
     sep();
     out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << track_pid[i]
         << ",\"tid\":" << i + 1 << ",\"args\":{\"name\":\""
-        << json_escape(tracks[i].lane) << "\"}}";
+        << json_escape(recorder.track_of(i).lane) << "\"}}";
   }
 
   recorder.for_each([&](const TraceEvent& ev) {
-    DEISA_ASSERT(ev.track < tracks.size(), "event on unknown track");
+    DEISA_ASSERT(ev.track < track_pid.size(), "event on unknown track");
     const int pid = track_pid[ev.track];
     const TrackId tid = ev.track + 1;
     sep();
@@ -139,7 +138,6 @@ void write_chrome_trace(const Recorder& recorder, std::ostream& out) {
 }
 
 void write_trace_csv(const Recorder& recorder, std::ostream& out) {
-  const auto& tracks = recorder.tracks();
   const auto csv_quote = [](const std::string& s) {
     std::string q = "\"";
     for (char c : s) {
@@ -151,7 +149,7 @@ void write_trace_csv(const Recorder& recorder, std::ostream& out) {
   };
   out << "type,actor,lane,name,ts_s,dur_s,value,self_id,cause_id,edge,args\n";
   recorder.for_each([&](const TraceEvent& ev) {
-    const Track& t = tracks[ev.track];
+    const Track t = recorder.track_of(ev.track);
     std::string args;
     for (const TraceArg& a : ev.args) {
       if (!args.empty()) args += ';';

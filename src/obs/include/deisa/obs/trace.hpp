@@ -153,10 +153,16 @@ public:
 
   /// Resolve (actor, lane) to a stable track id, creating it on first use.
   TrackId track(std::string_view actor, std::string_view lane);
-  /// Copy of the track table (consistent under concurrent track()).
-  std::vector<Track> tracks() const {
+  /// Number of tracks; ids 0..track_count()-1 are valid.
+  std::size_t track_count() const {
     std::lock_guard lk(mu_);
-    return tracks_;
+    return tracks_.size();
+  }
+  /// The (actor, lane) of one track, by value: the table may grow under
+  /// concurrent track(), and a copy cannot dangle.
+  Track track_of(TrackId id) const {
+    std::lock_guard lk(mu_);
+    return tracks_.at(id);
   }
 
   void instant(TrackId track, std::string name,
@@ -202,7 +208,7 @@ public:
   void clear();
 
   /// Visit retained events oldest-first. Holds the recorder lock for the
-  /// whole walk (recursive, so callbacks may still read tracks()/size());
+  /// whole walk (recursive, so callbacks may still read track_of()/size());
   /// the callback must not record events.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -218,7 +224,7 @@ private:
   void push(TraceEvent ev);
 
   /// Guards the ring, counters and track table. Recursive because
-  /// for_each() callbacks (exporters, tests) read tracks() mid-walk.
+  /// for_each() callbacks (exporters, tests) read track_of() mid-walk.
   mutable std::recursive_mutex mu_;
   std::size_t capacity_;
   DropPolicy drop_policy_;

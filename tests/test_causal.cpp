@@ -195,7 +195,7 @@ TEST(Causal, Deisa2TraceSurvivesChromeRoundTrip) {
   std::istringstream in(out.str());
   const obs::TraceData loaded = obs::load_chrome_trace(in);
   EXPECT_EQ(loaded.events.size(), res.trace->size());
-  EXPECT_EQ(loaded.tracks.size(), res.trace->tracks().size());
+  EXPECT_EQ(loaded.tracks.size(), res.trace->track_count());
 
   // Analysis of the loaded trace matches analysis of the live recorder.
   const obs::CausalGraph g_live = obs::build_causal_graph(*res.trace);

@@ -194,9 +194,8 @@ TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   // the "external" lane covering [creation, scatter] with to=memory, one
   // lifecycle instant for the transition — and nothing else for this key.
   int created = 0, external_spans = 0, lifecycle_transitions = 0;
-  const auto tracks = recorder.tracks();
   recorder.for_each([&](const deisa::obs::TraceEvent& ev) {
-    const auto& track = tracks[ev.track];
+    const auto track = recorder.track_of(ev.track);
     if (track.actor != "scheduler") return;
     if (ev.name == "create:ext") {
       ++created;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "deisa/linalg/decomp.hpp"
 #include "deisa/linalg/matrix.hpp"
@@ -185,27 +188,30 @@ la::Matrix graded_matrix(std::size_t m, std::size_t n, std::uint64_t seed) {
   return la::matmul(us, v.transposed());
 }
 
-/// svd_right agrees with svd: the same singular values within 1e-12 s0,
-/// an orthonormal V (all of it when m >= n, the columns of nonzero
-/// singular values when m < n), and, for every singular value separated
-/// from its neighbours by at least 1e-3 s0, the same V column up to sign
-/// within the perturbation bound 1e-12 s0 / gap.
-void expect_matches_svd(const la::Matrix& a) {
+/// svd_right(a, vectors) agrees with svd: the same singular values (all
+/// of them) within 1e-12 s0, orthonormal kept V columns (all of them when
+/// m >= n, those of nonzero singular values when m < n), and, for every
+/// kept column whose singular value is separated from its neighbours by at
+/// least 1e-3 s0, the same V column up to sign within the perturbation
+/// bound 1e-12 s0 / gap.
+void expect_matches_svd(const la::Matrix& a, std::size_t vectors = SIZE_MAX) {
   const la::SvdResult ref = la::svd(a);
-  const la::RightSvdResult r = la::svd_right(a);
+  const la::RightSvdResult r = la::svd_right(a, vectors);
   const std::size_t n = a.cols();
   const std::size_t k = std::min(a.rows(), n);
+  const std::size_t kept = std::min(vectors, k);
   ASSERT_EQ(r.s.size(), k);
   ASSERT_EQ(r.v.rows(), n);
-  ASSERT_EQ(r.v.cols(), k);
+  ASSERT_EQ(r.v.cols(), kept);
   const double s0 = ref.s[0];
   for (std::size_t j = 0; j < k; ++j)
     EXPECT_NEAR(r.s[j], ref.s[j], 1e-12 * s0) << "singular value " << j;
   std::size_t rank = 0;
   while (rank < k && r.s[rank] > 0.0) ++rank;
-  const la::Matrix v = a.rows() >= n ? r.v : r.v.block(0, 0, n, rank);
+  const la::Matrix v =
+      a.rows() >= n ? r.v : r.v.block(0, 0, n, std::min(rank, kept));
   EXPECT_LT(orthonormality_error(v), 1e-12);
-  for (std::size_t j = 0; j < k; ++j) {
+  for (std::size_t j = 0; j < kept; ++j) {
     double gap = s0;
     if (j > 0) gap = std::min(gap, ref.s[j - 1] - ref.s[j]);
     if (j + 1 < k) gap = std::min(gap, ref.s[j] - ref.s[j + 1]);
@@ -239,10 +245,75 @@ TEST(SvdRight, RankDeficientKeepsOrthonormalV) {
   const auto tall = la::matmul(random_matrix(12, 3, 101),
                                random_matrix(8, 3, 102).transposed());
   expect_matches_svd(tall);
-  const auto r = la::svd_right(tall);
+  const auto r = la::svd_right(tall, 0);
   for (std::size_t j = 3; j < r.s.size(); ++j)
     EXPECT_LT(r.s[j], 1e-12 * r.s[0]);
   expect_matches_svd(tall.transposed());  // wide, same spectrum
+}
+
+/// Columns `cols` of `a` (or rows, when `by_rows`) set to exact zero.
+la::Matrix zeroed(la::Matrix a, std::initializer_list<std::size_t> cols,
+                  bool by_rows = false) {
+  for (const std::size_t c : cols)
+    for (std::size_t i = 0; i < (by_rows ? a.cols() : a.rows()); ++i)
+      (by_rows ? a(c, i) : a(i, c)) = 0.0;
+  return a;
+}
+
+bool same_bits(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(SvdRight, LeadingVectorsMatchFullSolve) {
+  struct Case {
+    const char* name;
+    la::Matrix a;
+    bool deficient;
+  };
+  const std::vector<Case> cases = {
+      {"tall", random_matrix(12, 7, 111), false},
+      {"square", random_matrix(9, 9, 112), false},
+      {"wide", random_matrix(5, 12, 113), false},
+      {"tall, 3 zero columns", zeroed(random_matrix(12, 7, 114), {1, 3, 4}),
+       true},
+      {"square, 2 zero columns", zeroed(random_matrix(8, 8, 115), {0, 5}),
+       true},
+      {"wide, 2 zero rows", zeroed(random_matrix(5, 12, 116), {2, 3}, true),
+       true},
+  };
+  for (const Case& c : cases) {
+    const std::size_t n = c.a.cols();
+    const la::RightSvdResult full = la::svd_right(c.a, n);
+    std::size_t rank = 0;
+    while (rank < full.s.size() && full.s[rank] > 0.0) ++rank;
+    EXPECT_EQ(rank < full.s.size(), c.deficient) << c.name;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, rank,
+                                rank + 1, std::size_t{100}}) {
+      const la::RightSvdResult lead = la::svd_right(c.a, k);
+      EXPECT_TRUE(same_bits(lead.s, full.s)) << c.name << ", k = " << k;
+      const std::size_t kept = std::min(k, full.s.size());
+      ASSERT_EQ(lead.v.rows(), n) << c.name;
+      ASSERT_EQ(lead.v.cols(), kept) << c.name << ", k = " << k;
+      for (std::size_t j = 0; j < kept; ++j)
+        EXPECT_TRUE(same_bits(lead.v.col(j), full.v.col(j)))
+            << c.name << ", k = " << k << ", column " << j;
+    }
+  }
+}
+
+TEST(SvdRight, LowRankStackMatchesSvd) {
+  // The shape of an insitu-ipca update stack (2 components + 256 samples
+  // + 1 mean-correction row, 256 features) at rank 6, with well separated
+  // singular values 2^-j; the fit keeps 2 vectors.
+  constexpr std::size_t kRank = 6;
+  la::Matrix us = la::qr_thin(random_matrix(259, kRank, 121)).q;
+  const la::Matrix v = la::qr_thin(random_matrix(256, kRank, 122)).q;
+  for (std::size_t j = 0; j < kRank; ++j)
+    for (double& x : us.col(j)) x *= std::ldexp(1.0, -static_cast<int>(j));
+  const la::Matrix a = la::matmul(us, v.transposed());
+  expect_matches_svd(a, 2);
+  expect_matches_svd(a, kRank);
 }
 
 TEST(RandomizedSvd, RecoversLowRankExactly) {

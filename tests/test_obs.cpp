@@ -261,9 +261,9 @@ TEST(Recorder, TrackIdsAreStableAndDeduplicated) {
   const auto b = rec.track("scheduler", "lifecycle");
   EXPECT_NE(a, b);
   EXPECT_EQ(rec.track("scheduler", "inbox"), a);
-  ASSERT_EQ(rec.tracks().size(), 2u);
-  EXPECT_EQ(rec.tracks()[a].actor, "scheduler");
-  EXPECT_EQ(rec.tracks()[b].lane, "lifecycle");
+  ASSERT_EQ(rec.track_count(), 2u);
+  EXPECT_EQ(rec.track_of(a).actor, "scheduler");
+  EXPECT_EQ(rec.track_of(b).lane, "lifecycle");
 }
 
 TEST(Recorder, DisabledHelpersAreNoOps) {
@@ -557,7 +557,7 @@ TEST(Export, ChromeTraceRoundTripsThroughLoader) {
   const obs::TraceData loaded = obs::load_chrome_trace(in);
 
   ASSERT_EQ(loaded.events.size(), rec.size());
-  ASSERT_EQ(loaded.tracks.size(), rec.tracks().size());
+  ASSERT_EQ(loaded.tracks.size(), rec.track_count());
   const auto src = rec.events();
   for (std::size_t i = 0; i < src.size(); ++i) {
     // Exporter emits in ring order, which the loader preserves.
@@ -570,8 +570,8 @@ TEST(Export, ChromeTraceRoundTripsThroughLoader) {
     EXPECT_EQ(b.self_id, a.self_id) << i;
     EXPECT_EQ(b.cause_id, a.cause_id) << i;
     EXPECT_EQ(b.edge, a.edge) << i;
-    EXPECT_EQ(loaded.tracks[b.track].actor, rec.tracks()[a.track].actor) << i;
-    EXPECT_EQ(loaded.tracks[b.track].lane, rec.tracks()[a.track].lane) << i;
+    EXPECT_EQ(loaded.tracks[b.track].actor, rec.track_of(a.track).actor) << i;
+    EXPECT_EQ(loaded.tracks[b.track].lane, rec.track_of(a.track).lane) << i;
     ASSERT_EQ(b.args.size(), a.args.size()) << i;
     for (std::size_t j = 0; j < a.args.size(); ++j)
       EXPECT_EQ(b.args[j].key, a.args[j].key) << i << "/" << j;
