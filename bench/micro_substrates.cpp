@@ -187,16 +187,6 @@ void BM_JacobiSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSvd)->Arg(128)->Arg(512);
 
-void BM_RandomizedSvd(benchmark::State& state) {
-  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)),
-                               static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto svd = la::randomized_svd(a, 4, 8, 2, 5);
-    benchmark::DoNotOptimize(svd.s.data());
-  }
-}
-BENCHMARK(BM_RandomizedSvd)->Arg(128)->Arg(256);
-
 // The exact right-only SVD of an IPCA update, reading two right vectors:
 // the stacked matrix of a 256-sample x 256-feature batch with two kept
 // components is 259 x 256, and a first batch is 256 x 256. Args: rows,

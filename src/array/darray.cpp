@@ -48,96 +48,6 @@ exec::Co<DArray> DArray::from_external(dts::Client& client, std::string name,
   co_return a;
 }
 
-exec::Co<DArray> DArray::map_chunks(
-    const DArray& src, std::string name,
-    std::function<dts::Data(const dts::Data&)> fn, double cost_per_chunk,
-    std::uint64_t out_bytes_per_chunk) {
-  DArray out(*src.client_, name, src.grid_);
-  out.build_keys("");
-  std::vector<dts::TaskSpec> tasks;
-  const std::int64_t n = src.grid_.num_chunks();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    dts::TaskFn task_fn;
-    if (fn)
-      task_fn = [fn](const std::vector<dts::Data>& in) { return fn(in[0]); };
-    tasks.emplace_back(out.keys_[si], std::vector<dts::Key>{src.keys_[si]},
-                       std::move(task_fn), cost_per_chunk,
-                       out_bytes_per_chunk);
-  }
-  co_await src.client_->submit(std::move(tasks), out.keys_);
-  co_return out;
-}
-
-exec::Co<DArray> DArray::rechunk(Index new_chunk_shape,
-                                std::string name) const {
-  DArray out(*client_, std::move(name),
-             ChunkGrid(grid_.shape(), std::move(new_chunk_shape)));
-  out.build_keys("");
-  const ChunkGrid src_grid = grid_;
-  const ChunkGrid dst_grid = out.grid_;
-
-  std::vector<dts::TaskSpec> tasks;
-  const std::int64_t n = dst_grid.num_chunks();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const Index dst_coord = dst_grid.coord_of(i);
-    const Box dst_box = dst_grid.box_of(dst_coord);
-    const std::vector<Index> srcs = src_grid.chunks_overlapping(dst_box);
-    std::vector<dts::Key> deps;
-    std::vector<Box> src_boxes;
-    deps.reserve(srcs.size());
-    for (const Index& sc : srcs) {
-      deps.push_back(key_of(sc));
-      src_boxes.push_back(src_grid.box_of(sc));
-    }
-    // Assemble the destination box from the overlapping source chunks.
-    dts::TaskFn fn = [dst_box, src_boxes](const std::vector<dts::Data>& in) {
-      NDArray dst(
-          [&] {
-            Index s(dst_box.ndim());
-            for (std::size_t d = 0; d < s.size(); ++d)
-              s[d] = dst_box.extent(d);
-            return s;
-          }());
-      bool any_value = false;
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        if (!in[j].has_value()) continue;
-        any_value = true;
-        const auto& src = in[j].as<NDArray>();
-        const Box overlap = dst_box.intersect(src_boxes[j]);
-        // Source-local coordinates of the overlap.
-        Box src_local;
-        Box dst_local;
-        src_local.lo.resize(overlap.ndim());
-        src_local.hi.resize(overlap.ndim());
-        dst_local.lo.resize(overlap.ndim());
-        dst_local.hi.resize(overlap.ndim());
-        for (std::size_t d = 0; d < overlap.ndim(); ++d) {
-          src_local.lo[d] = overlap.lo[d] - src_boxes[j].lo[d];
-          src_local.hi[d] = overlap.hi[d] - src_boxes[j].lo[d];
-          dst_local.lo[d] = overlap.lo[d] - dst_box.lo[d];
-          dst_local.hi[d] = overlap.hi[d] - dst_box.lo[d];
-        }
-        dst.insert(dst_local, src.extract(src_local));
-      }
-      if (!any_value) {
-        // Synthetic inputs: forward size only.
-        std::uint64_t b = static_cast<std::uint64_t>(dst.size()) *
-                          sizeof(double);
-        return dts::Data::sized(b);
-      }
-      const std::uint64_t b = dst.bytes();
-      return dts::Data::make<NDArray>(std::move(dst), b);
-    };
-    const std::uint64_t out_bytes =
-        static_cast<std::uint64_t>(dst_box.volume()) * sizeof(double);
-    tasks.emplace_back(out.keys_[static_cast<std::size_t>(i)],
-                       std::move(deps), std::move(fn), 0.0, out_bytes);
-  }
-  co_await client_->submit(std::move(tasks), out.keys_);
-  co_return out;
-}
-
 exec::Co<NDArray> DArray::gather_box(const Selection& sel) const {
   Index out_shape(sel.box.ndim());
   for (std::size_t d = 0; d < out_shape.size(); ++d)

@@ -372,11 +372,4 @@ exec::Co<void> Client::cancel(const Key& key) {
   (void)co_await ack->recv();
 }
 
-exec::Co<void> Client::send_shutdown() {
-  for (int s = 0; s < num_shards(); ++s) {
-    SchedMsg msg(SchedMsgKind::kShutdown);
-    co_await send_to_scheduler(std::move(msg), exec::Delivery::kReliable, s);
-  }
-}
-
 }  // namespace deisa::dts

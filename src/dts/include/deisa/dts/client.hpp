@@ -148,9 +148,6 @@ public:
   /// are left untouched. Synchronous.
   exec::Co<void> cancel(const Key& key);
 
-  /// Ask the scheduler to shut down (tests/teardown).
-  exec::Co<void> send_shutdown();
-
   /// Causal provenance of the last payload this client received (gather,
   /// queue_get, variable_get). Graph submissions are stamped with it so
   /// data-driven control flow — "a result arrived, submit the next step"

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "deisa/util/error.hpp"
-#include "deisa/util/rng.hpp"
 
 namespace deisa::linalg {
 
@@ -265,43 +264,6 @@ RightSvdResult svd_right(const Matrix& a, std::size_t vectors) {
   out.v = unit_columns(w, order, out.s);
   if (m >= n) complete_basis(out.v, out.s);
   return out;
-}
-
-SvdResult randomized_svd(const Matrix& a, std::size_t k, std::size_t oversample,
-                         std::size_t power_iters, std::uint64_t seed) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  DEISA_CHECK(k >= 1, "randomized_svd needs k >= 1");
-  const std::size_t rank_cap = std::min(m, n);
-  k = std::min(k, rank_cap);
-  const std::size_t p = std::min(k + oversample, rank_cap);
-
-  util::Rng rng(seed);
-  Matrix omega(n, p);
-  for (double& x : omega.data()) x = rng.normal();
-
-  Matrix q = qr_thin(matmul(a, omega)).q;  // m x p
-  for (std::size_t it = 0; it < power_iters; ++it) {
-    const Matrix z = qr_thin(matmul_tn(a, q)).q;  // n x p
-    q = qr_thin(matmul(a, z)).q;
-  }
-  const Matrix b = matmul_tn(q, a);  // p x n
-  SvdResult small = svd(b);
-  SvdResult out;
-  out.u = matmul(q, small.u.block(0, 0, p, std::min(k, small.u.cols())));
-  const std::size_t kk = std::min(k, small.s.size());
-  out.s.assign(small.s.begin(), small.s.begin() + static_cast<long>(kk));
-  out.v = small.v.block(0, 0, n, kk);
-  return out;
-}
-
-Matrix svd_reconstruct(const SvdResult& r) {
-  Matrix us = r.u;
-  for (std::size_t j = 0; j < us.cols(); ++j) {
-    auto cj = us.col(j);
-    for (double& x : cj) x *= r.s[j];
-  }
-  return matmul(us, r.v.transposed());
 }
 
 }  // namespace deisa::linalg

@@ -1,9 +1,7 @@
-// Matrix decompositions: Householder QR, one-sided Jacobi SVD (full, and
-// right-only for the PCA updates), and the randomized truncated SVD of
-// Halko et al.
+// Matrix decompositions: Householder QR and one-sided Jacobi SVD (full,
+// and right-only for the PCA updates).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "deisa/linalg/matrix.hpp"
@@ -42,16 +40,5 @@ struct RightSvdResult {
 /// columns of exactly-zero singular values are completed to orthonormal
 /// vectors; when m < n, they are zero, as in svd().
 RightSvdResult svd_right(const Matrix& a, std::size_t vectors);
-
-/// Randomized truncated SVD: rank-k approximation with `oversample` extra
-/// probe vectors and `power_iters` subspace iterations (Halko, Martinsson,
-/// Tropp 2011). Deterministic for a fixed seed.
-SvdResult randomized_svd(const Matrix& a, std::size_t k,
-                         std::size_t oversample = 10,
-                         std::size_t power_iters = 2,
-                         std::uint64_t seed = 0x5eed);
-
-/// Reconstruct U * diag(s) * V^T (tests and error measures).
-Matrix svd_reconstruct(const SvdResult& r);
 
 }  // namespace deisa::linalg

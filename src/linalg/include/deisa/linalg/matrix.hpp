@@ -56,9 +56,6 @@ public:
   Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
                std::size_t nc) const;
 
-  /// Row i as a vector (copies).
-  std::vector<double> row(std::size_t i) const;
-
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
@@ -73,17 +70,9 @@ private:
 Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A^T * B without materializing A^T.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
-/// y = A * x.
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
-
-Matrix operator+(const Matrix& a, const Matrix& b);
-Matrix operator-(const Matrix& a, const Matrix& b);
-Matrix operator*(double s, const Matrix& a);
 
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);
-/// Frobenius norm.
-double frobenius(const Matrix& a);
 /// max_ij |a_ij - b_ij|; shapes must match.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 

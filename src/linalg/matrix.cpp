@@ -91,12 +91,6 @@ Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
   return out;
 }
 
-std::vector<double> Matrix::row(std::size_t i) const {
-  std::vector<double> out(cols_);
-  for (std::size_t j = 0; j < cols_; ++j) out[j] = (*this)(i, j);
-  return out;
-}
-
 Matrix matmul(const Matrix& a, const Matrix& b) {
   DEISA_CHECK(a.cols() == b.rows(), "matmul shape mismatch: "
                                         << a.rows() << "x" << a.cols() << " * "
@@ -140,41 +134,6 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  DEISA_CHECK(a.cols() == x.size(), "matvec shape mismatch");
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    const auto aj = a.col(j);
-    const double xj = x[j];
-    for (std::size_t i = 0; i < a.rows(); ++i) y[i] += aj[i] * xj;
-  }
-  return y;
-}
-
-Matrix operator+(const Matrix& a, const Matrix& b) {
-  DEISA_CHECK(a.same_shape(b), "matrix addition shape mismatch");
-  Matrix c = a;
-  auto cd = c.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] += bd[i];
-  return c;
-}
-
-Matrix operator-(const Matrix& a, const Matrix& b) {
-  DEISA_CHECK(a.same_shape(b), "matrix subtraction shape mismatch");
-  Matrix c = a;
-  auto cd = c.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] -= bd[i];
-  return c;
-}
-
-Matrix operator*(double s, const Matrix& a) {
-  Matrix c = a;
-  for (double& v : c.data()) v *= s;
-  return c;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   DEISA_CHECK(a.size() == b.size(), "dot length mismatch");
   double s = 0.0;
@@ -183,8 +142,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-double frobenius(const Matrix& a) { return norm2(a.data()); }
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   DEISA_CHECK(a.same_shape(b), "max_abs_diff shape mismatch");

@@ -9,8 +9,7 @@ namespace deisa::ml {
 
 namespace la = linalg;
 
-void svd_flip_v(la::Matrix& u, la::Matrix& vt) {
-  // vt rows are components; u columns correspond to them.
+void svd_flip_v(la::Matrix& vt) {
   for (std::size_t r = 0; r < vt.rows(); ++r) {
     double best = 0.0;
     double best_abs = -1.0;
@@ -23,8 +22,6 @@ void svd_flip_v(la::Matrix& u, la::Matrix& vt) {
     }
     if (best < 0.0) {
       for (std::size_t c = 0; c < vt.cols(); ++c) vt(r, c) = -vt(r, c);
-      if (r < u.cols())
-        for (std::size_t i = 0; i < u.rows(); ++i) u(i, r) = -u(i, r);
     }
   }
 }
@@ -42,8 +39,7 @@ struct Spectrum {
 Spectrum solve_svd(const la::Matrix& a, std::size_t k) {
   la::RightSvdResult r = la::svd_right(a, k);
   la::Matrix vt = r.v.transposed();
-  la::Matrix no_u;
-  svd_flip_v(no_u, vt);
+  svd_flip_v(vt);
   return {std::move(r.s), std::move(vt)};
 }
 
@@ -71,36 +67,6 @@ la::Matrix center(const la::Matrix& x, const std::vector<double>& mean) {
 }
 
 }  // namespace
-
-Pca::Pca(PcaOptions opts) : opts_(opts) {
-  DEISA_CHECK(opts_.n_components >= 1, "n_components must be >= 1");
-}
-
-void Pca::fit(const la::Matrix& x) {
-  DEISA_CHECK(x.rows() >= 2, "PCA needs at least two samples");
-  mean_ = column_means(x);
-  const la::Matrix xc = center(x, mean_);
-  Spectrum r = solve_svd(xc, opts_.n_components);
-  const std::size_t k = r.vt.rows();
-  components_ = std::move(r.vt);
-  singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
-  const double denom = static_cast<double>(x.rows() - 1);
-  double total_var = 0.0;
-  for (double s : r.s) total_var += s * s / denom;
-  explained_variance_.clear();
-  explained_variance_ratio_.clear();
-  for (std::size_t i = 0; i < k; ++i) {
-    const double ev = r.s[i] * r.s[i] / denom;
-    explained_variance_.push_back(ev);
-    explained_variance_ratio_.push_back(total_var > 0 ? ev / total_var : 0.0);
-  }
-}
-
-la::Matrix Pca::transform(const la::Matrix& x) const {
-  DEISA_CHECK(!components_.empty(), "PCA not fitted");
-  const la::Matrix xc = center(x, mean_);
-  return la::matmul(xc, components_.transposed());
-}
 
 IncrementalPca::IncrementalPca(PcaOptions opts) : opts_(opts) {
   DEISA_CHECK(opts_.n_components >= 1, "n_components must be >= 1");
@@ -200,12 +166,6 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
       noise_variance_ += r.s[i] * r.s[i] / denom;
     noise_variance_ /= static_cast<double>(r.s.size() - k);
   }
-}
-
-la::Matrix IncrementalPca::transform(const la::Matrix& x) const {
-  DEISA_CHECK(n_samples_seen_ > 0, "IncrementalPCA not fitted");
-  const la::Matrix xc = center(x, mean_);
-  return la::matmul(xc, components_.transposed());
 }
 
 }  // namespace deisa::ml

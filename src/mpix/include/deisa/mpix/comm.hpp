@@ -1,15 +1,13 @@
 // Mini-MPI over the discrete-event cluster: ranks are coroutines, point-
 // to-point messages match on (source, tag) with wildcards, and the
-// collectives used by the Heat2D miniapp and the DEISA bridges (barrier,
-// bcast, reduce, allreduce, gather) are built from point-to-point
-// messages over binomial trees — so their cost scales with log2(P) and
-// with the switch distance of the allocation, as on a real machine.
+// barrier of the Heat2D miniapp is a dissemination barrier over point-to-
+// point messages — so its cost scales with log2(P) and with the switch
+// distance of the allocation, as on a real machine.
 #pragma once
 
 #include <any>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <memory>
 #include <vector>
@@ -52,8 +50,6 @@ struct Message {
   }
 };
 
-enum class ReduceOp { kSum, kMax, kMin };
-
 /// Communicator over a set of ranks placed on cluster nodes.
 class Comm {
 public:
@@ -84,28 +80,6 @@ public:
 
   // ---- collectives (every rank of the comm must call, in order) ----
   exec::Co<void> barrier(int rank);
-  /// Broadcast `bytes` of payload from root over a binomial tree; the
-  /// returned message carries root's payload on every rank.
-  exec::Co<Message> bcast(int rank, int root, Message msg);
-  /// Element-wise reduce of a vector<double> to root (binomial tree).
-  exec::Co<std::vector<double>> reduce(int rank, int root,
-                                      std::vector<double> local, ReduceOp op);
-  exec::Co<std::vector<double>> allreduce(int rank, std::vector<double> local,
-                                         ReduceOp op);
-  /// Gather per-rank payloads to root; result (root only) is indexed by
-  /// rank, other ranks receive an empty vector.
-  exec::Co<std::vector<Message>> gather(int rank, int root, Message msg);
-  /// Every rank receives every rank's contribution, indexed by rank.
-  exec::Co<std::vector<std::vector<double>>> allgather(
-      int rank, std::vector<double> local);
-  /// Root distributes one payload per rank; returns this rank's share.
-  exec::Co<Message> scatter_from(int rank, int root,
-                                std::vector<Message> parts);
-  /// Personalized all-to-all exchange of vector<double> payloads:
-  /// `outgoing[r]` goes to rank r; the result holds what each rank sent
-  /// to this one, indexed by source rank.
-  exec::Co<std::vector<std::vector<double>>> alltoall(
-      int rank, std::vector<std::vector<double>> outgoing);
 
 private:
   struct Waiter {
@@ -139,8 +113,6 @@ private:
   // Per-rank sequence, only ever touched by that rank's own collective
   // calls (one strand), so it needs no lock.
   std::vector<std::uint32_t> collective_seq_;
-
-  friend struct RecvAwaiter;
 };
 
 }  // namespace deisa::mpix

@@ -1,4 +1,4 @@
-// Tests for PCA/IncrementalPCA math (sklearn-equivalent behaviour) and the
+// Tests for IncrementalPCA math (sklearn-equivalent behaviour) and the
 // distributed in-situ IPCA graphs (ahead-of-time vs per-step submission).
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "deisa/net/cluster.hpp"
 #include "deisa/sim/engine.hpp"
 #include "deisa/dts/runtime.hpp"
+#include "deisa/linalg/decomp.hpp"
 #include "deisa/ml/insitu.hpp"
 #include "deisa/ml/pca.hpp"
 #include "deisa/util/rng.hpp"
@@ -39,70 +40,13 @@ la::Matrix make_data(std::size_t n, std::size_t f, std::uint64_t seed,
   return x;
 }
 
-TEST(Pca, ExplainedVarianceSumsAndOrdering) {
-  const auto x = make_data(200, 12, 1);
-  ml::PcaOptions opts;
-  opts.n_components = 4;
-  ml::Pca pca(opts);
-  pca.fit(x);
-  ASSERT_EQ(pca.singular_values().size(), 4u);
-  for (std::size_t i = 0; i + 1 < 4; ++i)
-    EXPECT_GE(pca.explained_variance()[i], pca.explained_variance()[i + 1]);
-  double ratio_sum = 0;
-  for (double r : pca.explained_variance_ratio()) ratio_sum += r;
-  EXPECT_LE(ratio_sum, 1.0 + 1e-9);
-  EXPECT_GT(pca.explained_variance_ratio()[0], 0.4);
-}
-
-TEST(Pca, ComponentsAreOrthonormal) {
-  const auto x = make_data(100, 8, 2);
-  ml::PcaOptions opts;
-  opts.n_components = 3;
-  ml::Pca pca(opts);
-  pca.fit(x);
-  const la::Matrix c = pca.components();
-  const la::Matrix cct = la::matmul(c, c.transposed());
-  EXPECT_LT(la::max_abs_diff(cct, la::Matrix::identity(3)), 1e-9);
-}
-
-TEST(Pca, TransformReducesDimensionality) {
-  const auto x = make_data(60, 10, 3);
-  ml::PcaOptions opts;
-  opts.n_components = 2;
-  ml::Pca pca(opts);
-  pca.fit(x);
-  const la::Matrix t = pca.transform(x);
-  EXPECT_EQ(t.rows(), 60u);
-  EXPECT_EQ(t.cols(), 2u);
-  // Transformed data is centered.
-  for (std::size_t j = 0; j < 2; ++j) {
-    double mean = 0;
-    for (std::size_t i = 0; i < t.rows(); ++i) mean += t(i, j);
-    EXPECT_NEAR(mean / static_cast<double>(t.rows()), 0.0, 1e-9);
-  }
-}
-
-TEST(IncrementalPca, SingleBatchMatchesPca) {
-  const auto x = make_data(150, 10, 4);
-  ml::PcaOptions opts;
-  opts.n_components = 3;
-  ml::Pca pca(opts);
-  pca.fit(x);
-  ml::IncrementalPca ipca(opts);
-  ipca.partial_fit(x);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(ipca.singular_values()[i], pca.singular_values()[i],
-                1e-6 * pca.singular_values()[0]);
-    EXPECT_NEAR(ipca.explained_variance()[i], pca.explained_variance()[i],
-                1e-6 * pca.explained_variance()[0]);
-  }
-}
-
 class IpcaBatching : public ::testing::TestWithParam<int> {};
 
 TEST_P(IpcaBatching, MultiBatchApproximatesBatchPca) {
   // Property: IPCA over B minibatches recovers the dominant subspace and
-  // spectrum of exact PCA on the concatenated data.
+  // spectrum of exact PCA on the concatenated data. The batch reference is
+  // one partial_fit over all of it: a first batch is exact PCA (column
+  // means, centring, then the exact SVD of the centred data).
   const int batches = GetParam();
   const std::size_t n_per = 40;
   const std::size_t f = 12;
@@ -116,8 +60,23 @@ TEST_P(IpcaBatching, MultiBatchApproximatesBatchPca) {
     all = all.empty() ? x : all.vstack(x);
     ipca.partial_fit(x);
   }
-  ml::Pca pca(opts);
-  pca.fit(all);
+  ml::IncrementalPca pca(opts);
+  pca.partial_fit(all);
+  // Its spectrum is the SVD oracle's, and explained variance s^2 / (n - 1).
+  la::Matrix centred = all;
+  for (std::size_t j = 0; j < f; ++j) {
+    double mean = 0;
+    for (double v : centred.col(j)) mean += v;
+    mean /= static_cast<double>(all.rows());
+    for (double& v : centred.col(j)) v -= mean;
+  }
+  const std::vector<double> exact_s = la::svd(centred).s;
+  const double denom = static_cast<double>(all.rows() - 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(pca.singular_values()[i], exact_s[i], 1e-9 * exact_s[0]);
+    EXPECT_NEAR(pca.explained_variance()[i], exact_s[i] * exact_s[i] / denom,
+                1e-9 * exact_s[0] * exact_s[0] / denom);
+  }
 
   EXPECT_EQ(ipca.n_samples_seen(), n_per * static_cast<std::size_t>(batches));
   // Mean tracked exactly.
@@ -126,6 +85,21 @@ TEST_P(IpcaBatching, MultiBatchApproximatesBatchPca) {
     for (std::size_t i = 0; i < all.rows(); ++i) mean += all(i, j);
     mean /= static_cast<double>(all.rows());
     EXPECT_NEAR(ipca.mean()[j], mean, 1e-9);
+  }
+  // Both fits: explained variance descending, ratios summing to at most 1
+  // with a dominant first component, orthonormal component rows.
+  for (const ml::IncrementalPca* m : {&ipca, &pca}) {
+    ASSERT_EQ(m->singular_values().size(), 3u);
+    for (std::size_t i = 0; i + 1 < 3; ++i)
+      EXPECT_GE(m->explained_variance()[i], m->explained_variance()[i + 1]);
+    double ratio_sum = 0;
+    for (double r : m->explained_variance_ratio()) ratio_sum += r;
+    EXPECT_LE(ratio_sum, 1.0 + 1e-9);
+    EXPECT_GT(m->explained_variance_ratio()[0], 0.4);
+    const la::Matrix& c = m->components();
+    EXPECT_LT(la::max_abs_diff(la::matmul(c, c.transposed()),
+                               la::Matrix::identity(3)),
+              1e-9);
   }
   // Dominant singular value within a few percent; component subspaces
   // aligned (|cos| close to 1 for the leading component).
@@ -232,13 +206,11 @@ TEST(IncrementalPca, ExactlyRankDeficientBatchComponents) {
 }
 
 TEST(SvdFlip, MakesLargestComponentEntryPositive) {
-  la::Matrix u = la::Matrix::identity(2);
   la::Matrix vt = la::Matrix::from_rows({{-3, 1}, {0.5, 2}});
-  ml::svd_flip_v(u, vt);
+  ml::svd_flip_v(vt);
   EXPECT_DOUBLE_EQ(vt(0, 0), 3);
   EXPECT_DOUBLE_EQ(vt(0, 1), -1);
   EXPECT_DOUBLE_EQ(vt(1, 1), 2);  // already positive: unchanged
-  EXPECT_DOUBLE_EQ(u(0, 0), -1);  // u column flipped with component 0
 }
 
 // ---- distributed in-situ IPCA ----
@@ -433,52 +405,6 @@ TEST(InSituIpca, SyntheticModeRunsSameGraphWithoutPayloads) {
   tc.eng.spawn(synthetic_aot_flow(tc, done_at));
   tc.eng.run();
   EXPECT_GT(done_at, 0.0);
-}
-
-}  // namespace
-
-namespace {
-
-sim::Co<void> transform_flow(TestCluster& tc, la::Matrix& reduced0,
-                             ml::IncrementalPca& model_out) {
-  arr::DArray da = co_await arr::DArray::from_external(
-      *tc.client, "temp", ix(3, 6, 8), ix(1, 3, 4));
-  ml::InSituIpcaOptions o = listing2_options(2);
-  o.name = "ipca-tr";
-  ml::InSituIncrementalPca ipca(*tc.client, o);
-  ml::ExternalArrayProvider provider(da);
-  const ml::IpcaFit fit = co_await ipca.fit_ahead_of_time(provider);
-  co_await push_all_blocks(tc, da);
-  co_await tc.client->wait_key(fit.state_key);
-  // Dimensionality reduction: project each timestep onto the components.
-  const auto keys = co_await ipca.transform_steps(fit, 3);
-  reduced0 = co_await ipca.collect_reduced(keys[0]);
-  model_out = co_await ipca.collect_state(fit);
-  co_await tc.rt->shutdown();
-}
-
-TEST(InSituIpca, TransformProducesReducedTimesteps) {
-  TestCluster tc(2);
-  la::Matrix reduced0;
-  ml::IncrementalPca model(ml::PcaOptions{});
-  tc.eng.spawn(transform_flow(tc, reduced0, model));
-  tc.eng.run();
-  // Step 0 slab: 8 samples (Y) x 6 features (X) -> reduced 8 x 2.
-  ASSERT_EQ(reduced0.rows(), 8u);
-  ASSERT_EQ(reduced0.cols(), 2u);
-
-  // Reference: transform the same slab locally with the gathered model.
-  const arr::Box slab_box(ix(0, 0, 0), ix(1, 6, 8));
-  const arr::NDArray slab = make_block(slab_box, 7);
-  const arr::NDArray m2d = slab.reshape_2d({0, 2});
-  la::Matrix x(static_cast<std::size_t>(m2d.shape()[0]),
-               static_cast<std::size_t>(m2d.shape()[1]));
-  for (std::int64_t r = 0; r < m2d.shape()[0]; ++r)
-    for (std::int64_t c = 0; c < m2d.shape()[1]; ++c)
-      x(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) =
-          m2d.at(arr::Index{r, c});
-  const la::Matrix expected = model.transform(x);
-  EXPECT_LT(la::max_abs_diff(reduced0, expected), 1e-12);
 }
 
 }  // namespace
