@@ -40,13 +40,66 @@ la::Matrix make_data(std::size_t n, std::size_t f, std::uint64_t seed,
   return x;
 }
 
+/// Exact PCA spectrum from the SVD oracle: singular values of the
+/// column-centred data.
+std::vector<double> exact_singular_values(const la::Matrix& x) {
+  la::Matrix centred = x;
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    double mean = 0;
+    for (double v : centred.col(j)) mean += v;
+    mean /= static_cast<double>(x.rows());
+    for (double& v : centred.col(j)) v -= mean;
+  }
+  return la::svd(centred).s;
+}
+
+// The batch PCA fit is the first partial_fit of an IncrementalPca: column
+// means, centring, then the exact SVD of the centred data.
+ml::IncrementalPca fit_pca(const la::Matrix& x, std::size_t n_components) {
+  ml::PcaOptions opts;
+  opts.n_components = n_components;
+  ml::IncrementalPca pca(opts);
+  pca.partial_fit(x);
+  return pca;
+}
+
+TEST(Pca, ExplainedVarianceSumsAndOrdering) {
+  const auto pca = fit_pca(make_data(200, 12, 1), 4);
+  ASSERT_EQ(pca.singular_values().size(), 4u);
+  for (std::size_t i = 0; i + 1 < 4; ++i)
+    EXPECT_GE(pca.explained_variance()[i], pca.explained_variance()[i + 1]);
+  double ratio_sum = 0;
+  for (double r : pca.explained_variance_ratio()) ratio_sum += r;
+  EXPECT_LE(ratio_sum, 1.0 + 1e-9);
+  EXPECT_GT(pca.explained_variance_ratio()[0], 0.4);
+}
+
+TEST(Pca, ComponentsAreOrthonormal) {
+  const auto pca = fit_pca(make_data(100, 8, 2), 3);
+  const la::Matrix& c = pca.components();
+  const la::Matrix cct = la::matmul(c, c.transposed());
+  EXPECT_LT(la::max_abs_diff(cct, la::Matrix::identity(3)), 1e-9);
+}
+
+TEST(IncrementalPca, SingleBatchMatchesPca) {
+  // One batch is exact PCA: the SVD oracle's spectrum, and explained
+  // variance s^2 / (n - 1).
+  const auto x = make_data(150, 10, 4);
+  const auto ipca = fit_pca(x, 3);
+  const std::vector<double> s = exact_singular_values(x);
+  const double denom = static_cast<double>(x.rows() - 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(ipca.singular_values()[i], s[i], 1e-9 * s[0]);
+    EXPECT_NEAR(ipca.explained_variance()[i], s[i] * s[i] / denom,
+                1e-9 * s[0] * s[0] / denom);
+  }
+}
+
 class IpcaBatching : public ::testing::TestWithParam<int> {};
 
 TEST_P(IpcaBatching, MultiBatchApproximatesBatchPca) {
   // Property: IPCA over B minibatches recovers the dominant subspace and
-  // spectrum of exact PCA on the concatenated data. The batch reference is
-  // one partial_fit over all of it: a first batch is exact PCA (column
-  // means, centring, then the exact SVD of the centred data).
+  // spectrum of exact PCA on the concatenated data.
   const int batches = GetParam();
   const std::size_t n_per = 40;
   const std::size_t f = 12;
@@ -60,23 +113,7 @@ TEST_P(IpcaBatching, MultiBatchApproximatesBatchPca) {
     all = all.empty() ? x : all.vstack(x);
     ipca.partial_fit(x);
   }
-  ml::IncrementalPca pca(opts);
-  pca.partial_fit(all);
-  // Its spectrum is the SVD oracle's, and explained variance s^2 / (n - 1).
-  la::Matrix centred = all;
-  for (std::size_t j = 0; j < f; ++j) {
-    double mean = 0;
-    for (double v : centred.col(j)) mean += v;
-    mean /= static_cast<double>(all.rows());
-    for (double& v : centred.col(j)) v -= mean;
-  }
-  const std::vector<double> exact_s = la::svd(centred).s;
-  const double denom = static_cast<double>(all.rows() - 1);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(pca.singular_values()[i], exact_s[i], 1e-9 * exact_s[0]);
-    EXPECT_NEAR(pca.explained_variance()[i], exact_s[i] * exact_s[i] / denom,
-                1e-9 * exact_s[0] * exact_s[0] / denom);
-  }
+  ml::IncrementalPca pca = fit_pca(all, opts.n_components);
 
   EXPECT_EQ(ipca.n_samples_seen(), n_per * static_cast<std::size_t>(batches));
   // Mean tracked exactly.

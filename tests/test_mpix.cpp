@@ -102,22 +102,35 @@ TEST(Comm, BarrierWaitsForSlowestRank) {
 }
 
 TEST(Comm, RepeatedBarriersDoNotCrosstalk) {
-  for (int p : {1, 4}) {
-    World w(p);
-    std::vector<int> phases(static_cast<std::size_t>(p), 0);
-    for (int r = 0; r < p; ++r) {
-      w.eng.spawn([](mpix::Comm& c, int rank, std::vector<int>& ph)
-                      -> sim::Co<void> {
-        for (int i = 0; i < 3; ++i) {
-          co_await c.barrier(rank);
-          ++ph[static_cast<std::size_t>(rank)];
-        }
-      }(*w.comm, r, phases));
-    }
-    w.eng.run();
-    EXPECT_EQ(phases, std::vector<int>(static_cast<std::size_t>(p), 3))
-        << "world size " << p;
+  World w(4);
+  std::vector<int> phases(4, 0);
+  for (int r = 0; r < 4; ++r) {
+    w.eng.spawn([](mpix::Comm& c, int rank, std::vector<int>& ph)
+                    -> sim::Co<void> {
+      for (int i = 0; i < 3; ++i) {
+        co_await c.barrier(rank);
+        ++ph[static_cast<std::size_t>(rank)];
+      }
+    }(*w.comm, r, phases));
   }
+  w.eng.run();
+  EXPECT_EQ(phases, (std::vector<int>{3, 3, 3, 3}));
+}
+
+TEST(Comm, SingleRankCollectivesAreNoOps) {
+  // With one rank the barrier has no rounds: it sends nothing and takes
+  // no simulated time, however often it is entered.
+  World w(1);
+  int passed = 0;
+  w.eng.spawn([](mpix::Comm& c, int& n) -> sim::Co<void> {
+    for (int i = 0; i < 3; ++i) {
+      co_await c.barrier(0);
+      ++n;
+    }
+  }(*w.comm, passed));
+  w.eng.run();
+  EXPECT_EQ(passed, 3);
+  EXPECT_DOUBLE_EQ(w.eng.now(), 0.0);
 }
 
 TEST(Comm, InvalidRankThrows) {
